@@ -41,6 +41,7 @@ from .numeric import (
     brute_force_oracle,
     minimize,
     objective_gradient,
+    solve,
 )
 from .triangle import (
     BParam,
@@ -50,10 +51,12 @@ from .triangle import (
     centroid,
     classify_phase,
     critical_x_of_y,
+    family_indicator,
     family_member,
     reduced_gradient,
     reduced_objective,
     reduced_to_line,
+    regime_indicator,
     side_parallel_offset,
     side_parallel_value,
     stationarity_gap,
@@ -64,8 +67,6 @@ from .triangle import (
 from .verification import (
     RemainderSeries,
     SuiteReport,
-    family_indicator,
-    regime_indicator,
     remainder_partial_sum,
     run_verification_suite,
     stationarity_gap_over_t,
@@ -82,13 +83,14 @@ __all__ = [
     "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
     "solve_p1", "solve_p2", "solve_pinf",
     "SolveReport", "SolverConfig", "best_offset_for_direction",
-    "brute_force_oracle", "minimize", "objective_gradient",
+    "brute_force_oracle", "minimize", "objective_gradient", "solve",
     "BParam", "ReducedPoint", "TrianglePhase",
     "canonical_triangle", "centroid", "classify_phase", "critical_x_of_y",
-    "family_member", "reduced_gradient", "reduced_objective", "reduced_to_line",
+    "family_indicator", "family_member", "reduced_gradient", "reduced_objective",
+    "reduced_to_line", "regime_indicator",
     "side_parallel_offset", "side_parallel_value", "stationarity_gap",
     "symmetry_orbit", "triangle_min_value", "triangle_optimal_set",
-    "RemainderSeries", "SuiteReport", "family_indicator", "regime_indicator",
+    "RemainderSeries", "SuiteReport",
     "remainder_partial_sum", "run_verification_suite", "stationarity_gap_over_t",
     "__version__",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .exact import (
@@ -17,25 +17,14 @@ from .exact import (
     ParallelStrip,
     PencilThroughPoint,
     ReducedCurve,
-    solve_p1,
-    solve_p2,
-    solve_pinf,
 )
 from .fileio import load_points, locate_transitions, triangle_sweep, write_sweep_csv
 from .geometry import PNorm, UnitLine
-from .numeric import SolverConfig, minimize
+from .numeric import SolverConfig, minimize, solve
 from .svgfig import render_triangle_figure
-from .verification import run_verification_suite, SuiteReport
-from .verification_extra import triangle_cross_checks
+from .verification import run_verification_suite, SuiteReport, triangle_cross_checks
 
 __all__ = ["main"]
-
-
-def _parse_p(text: str) -> PNorm:
-    pn = PNorm.coerce(text)
-    if not pn.is_inf and pn.value < 1.0:
-        raise ValueError("p must be >= 1")
-    return pn
 
 
 def _line_dict(g: UnitLine) -> dict:
@@ -54,20 +43,20 @@ def _family_dict(fam) -> dict:
 
 
 def _solve_config(overrides: list[str]) -> SolverConfig:
-    known = {f.name: f.type for f in dataclass_fields(SolverConfig)}
+    defaults = asdict(SolverConfig())
     kwargs = {}
     for item in overrides:
         key, sep, value = item.partition("=")
         key = key.strip().replace("-", "_")
-        if not sep or key not in known:
+        if not sep or key not in defaults:
             raise ValueError(f"unknown config override {item!r}")
-        kwargs[key] = float(value) if "tol" in key else int(value)
+        kwargs[key] = type(defaults[key])(value)
     return SolverConfig(**kwargs)
 
 
 def _cmd_solve(args) -> int:
     try:
-        pn = _parse_p(args.p)
+        pn = PNorm.coerce(args.p)
         points = load_points(args.points)
         config = _solve_config(args.config or [])
         if args.exact and args.numeric:
@@ -77,7 +66,6 @@ def _cmd_solve(args) -> int:
         return 2
 
     exact_p = pn.is_inf or pn.value in (1.0, 2.0)
-    use_exact = args.exact or (exact_p and not args.numeric)
     if args.exact and not exact_p:
         print("error: --exact supports only p in {1, 2, inf}", file=sys.stderr)
         return 2
@@ -86,15 +74,10 @@ def _cmd_solve(args) -> int:
         return 2
 
     try:
-        if use_exact:
-            if pn.is_inf:
-                opt = solve_pinf(points)
-            elif pn.value == 1.0:
-                opt = solve_p1(points)
-            else:
-                opt = solve_p2(points)
-        else:
+        if args.numeric:
             opt = minimize(points, pn, config).optimal
+        else:
+            opt = solve(points, pn, config)
     except (DegenerateInputError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -112,8 +95,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        if args.p_min < 1.0:
-            raise ValueError("p must be >= 1")
         rows = triangle_sweep(args.p_min, args.p_max, args.steps,
                               include_inf=args.include_inf)
     except ValueError as exc:
@@ -126,7 +107,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_render(args) -> int:
     try:
-        pn = _parse_p(args.p)
+        pn = PNorm.coerce(args.p)
         svg = render_triangle_figure(pn, args.y)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

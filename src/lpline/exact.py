@@ -24,7 +24,6 @@ from .geometry import (
     UnitLine,
     canonicalize,
     default_eps_zero,
-    distance_vector,
     line_through,
     lines_close,
     lp_objective,
@@ -223,18 +222,3 @@ def solve_pinf(points) -> OptimalSet:
     tol = _TIE_RTOL * (1.0 + abs(best))
     lines = _dedupe([g for v, g in candidates if v <= best + tol])
     return OptimalSet(best, tuple(lines))
-
-
-def attained_value(points, opt: OptimalSet, p) -> float:
-    """Worst objective value over the listed lines (sanity helper for tests)."""
-    values = [lp_objective(points, g, p) for g in opt.lines]
-    for fam in opt.families:
-        values.extend(lp_objective(points, g, p) for g in fam.sample_lines())
-    return max(values) if values else opt.min_value
-
-
-def contains_count(points, g: UnitLine, eps: float | None = None) -> int:
-    """Number of input points lying on the line within ``eps``."""
-    if eps is None:
-        eps = default_eps_zero(points)
-    return int(np.sum(distance_vector(points, g) <= eps))

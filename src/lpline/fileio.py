@@ -19,10 +19,10 @@ from .geometry import PNorm, Point2
 from .triangle import (
     TrianglePhase,
     classify_phase,
+    locate_transitions,
     side_parallel_offset,
     triangle_min_value,
 )
-from .verification import regime_indicator
 
 __all__ = [
     "fmt",
@@ -123,42 +123,6 @@ def triangle_sweep(p_min: float, p_max: float, steps: int,
     if include_inf:
         rows.append(_row_for(PNorm.infinity()))
     return rows
-
-
-def _indicator_at_p(p: float) -> float:
-    return regime_indicator(1.0 / (p - 1.0))
-
-
-def locate_transitions(p_min: float, p_max: float, scan_steps: int = 512,
-                       width: float = 1e-12) -> list[float]:
-    """Phase-transition exponents in (p_min, p_max), found by bisecting the
-    sign changes of the boundary-comparison indicator."""
-    lo = max(p_min, 1.0 + 1e-9)
-    if p_max <= lo:
-        return []
-    ps = [lo + (p_max - lo) * k / scan_steps for k in range(scan_steps + 1)]
-    values = [_indicator_at_p(p) for p in ps]
-    found = []
-    for (p1, v1), (p2, v2) in zip(zip(ps, values), zip(ps[1:], values[1:])):
-        if v1 == 0.0:
-            found.append(p1)
-            continue
-        if v1 * v2 < 0.0:
-            a, fa, bnd = p1, v1, p2
-            while bnd - a > width:
-                mid = 0.5 * (a + bnd)
-                fm = _indicator_at_p(mid)
-                if fm == 0.0:
-                    a = bnd = mid
-                    break
-                if fa * fm < 0.0:
-                    bnd = mid
-                else:
-                    a, fa = mid, fm
-            found.append(0.5 * (a + bnd))
-    if values[-1] == 0.0:
-        found.append(ps[-1])
-    return found
 
 
 def write_sweep_csv(path: str | Path, rows: list[SweepRow],

@@ -22,14 +22,16 @@ from .geometry import (
     lines_close,
     _as_xy,
 )
-from .exact import DegenerateInputError, OptimalSet
+from .exact import OptimalSet, _check_points, solve_p1, solve_p2, solve_pinf
 
 __all__ = [
     "SolverConfig",
     "SolveReport",
     "golden_section",
+    "bisect_sign",
     "best_offset_for_direction",
     "minimize",
+    "solve",
     "brute_force_oracle",
     "grid_min",
     "objective_gradient",
@@ -100,6 +102,24 @@ def golden_section(f, lo: float, hi: float, tol: float, max_iters: int = 200):
     return x2, f2
 
 
+def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> float:
+    """Bisect the sign change of ``f`` between ``lo`` (f < 0) and ``hi`` (f >= 0).
+
+    Halves the bracket at most ``iters`` times, stopping early once it is no
+    wider than ``width``, and returns its midpoint.  The caller checks the
+    bracket: nothing here evaluates ``f`` at the ends.
+    """
+    for _ in range(iters):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _offsets(arr: np.ndarray, theta: float) -> np.ndarray:
     return arr[:, 0] * math.cos(theta) + arr[:, 1] * math.sin(theta)
 
@@ -135,19 +155,12 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
         return lo, 0.0
     f = lambda c: float(np.sum(np.abs(c - a) ** pv))
     c, value = golden_section(f, lo, hi, tol=1e-9 * (1.0 + hi - lo))
+    slope = lambda c: _offset_slope(a, c, pv)
     width = 1e-6 * (hi - lo)
     b_lo, b_hi = max(c - width, lo), min(c + width, hi)
-    if not (_offset_slope(a, b_lo, pv) < 0.0 < _offset_slope(a, b_hi, pv)):
+    if not (slope(b_lo) < 0.0 < slope(b_hi)):
         b_lo, b_hi = lo, hi
-    for _ in range(80):
-        if b_hi - b_lo <= 1e-15 * (1.0 + hi - lo):
-            break
-        mid = 0.5 * (b_lo + b_hi)
-        if _offset_slope(a, mid, pv) < 0.0:
-            b_lo = mid
-        else:
-            b_hi = mid
-    c = 0.5 * (b_lo + b_hi)
+    c = bisect_sign(slope, b_lo, b_hi, 80, width=1e-15 * (1.0 + hi - lo))
     return c, f(c)
 
 
@@ -205,11 +218,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("use exact solver")
     cfg = config or SolverConfig()
-    arr = _as_xy(points)
-    if len(arr) < 2:
-        raise DegenerateInputError("degenerate point set")
-    if float(np.max(np.max(arr, axis=0) - np.min(arr, axis=0))) == 0.0:
-        raise DegenerateInputError("degenerate point set")
+    arr = _check_points(points)
     pv = pn.value
     counter = _Counter()
 
@@ -266,13 +275,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         t_lo, t_hi = theta0 - 1e-4, theta0 + 1e-4
         if not (slope(t_lo) < 0.0 < slope(t_hi)):
             return None
-        for _ in range(70):
-            mid = 0.5 * (t_lo + t_hi)
-            if slope(mid) < 0.0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        alpha = 0.5 * (t_lo + t_hi)
+        alpha = bisect_sign(slope, t_lo, t_hi, 70)
         n = np.array([math.cos(alpha), math.sin(alpha)])
         c = float(n @ q)
         value = float(np.sum(np.abs(arr @ n - c) ** pv))
@@ -292,13 +295,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         for width in (1e-5, step):
             t_lo, t_hi = theta_golden - width, theta_golden + width
             if profile_slope(t_lo) < 0.0 < profile_slope(t_hi):
-                for _ in range(60):
-                    mid = 0.5 * (t_lo + t_hi)
-                    if profile_slope(mid) < 0.0:
-                        t_lo = mid
-                    else:
-                        t_hi = mid
-                candidates.append(0.5 * (t_lo + t_hi))
+                candidates.append(bisect_sign(profile_slope, t_lo, t_hi, 60))
                 break
         value = math.inf
         theta_star = c_star = None
@@ -352,6 +349,19 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         stationarity_residual=residual,
         evaluations=counter.n,
     )
+
+
+def solve(points, p, config: SolverConfig | None = None) -> OptimalSet:
+    """Optimal set for any p in [1, inf]: closed form at p in {1, 2, inf},
+    :func:`minimize` (with ``config``) otherwise."""
+    pn = PNorm.coerce(p)
+    if pn.is_inf:
+        return solve_pinf(points)
+    if pn.value == 1.0:
+        return solve_p1(points)
+    if pn.value == 2.0:
+        return solve_p2(points)
+    return minimize(points, pn, config).optimal
 
 
 def grid_min(points, p, theta_lo: float, theta_hi: float, theta_steps: int,

@@ -37,6 +37,7 @@ from .exact import (
     solve_p1,
     solve_pinf,
 )
+from .numeric import bisect_sign
 
 __all__ = [
     "SQRT3",
@@ -50,10 +51,13 @@ __all__ = [
     "reduced_gradient",
     "critical_x_of_y",
     "stationarity_gap",
+    "family_indicator",
+    "regime_indicator",
     "side_parallel_offset",
     "side_parallel_value",
     "triangle_min_value",
     "classify_phase",
+    "locate_transitions",
     "family_member",
     "symmetry_orbit",
     "triangle_optimal_set",
@@ -184,6 +188,34 @@ def stationarity_gap(t, b: float):
     return out
 
 
+def family_indicator(b: float) -> float:
+    """``2^b - 3b + 1``: half the limit of stationarity_gap(t, b) / t at t = 0.
+
+    Its zeros b in {1, 3} mark the exponents with degenerate optimal families
+    (p = 2 and p = 4/3); elsewhere its sign is the sign of that quotient on
+    all of (0, 1).  The function is convex in b.
+    """
+    try:
+        return 2.0 ** b - 3.0 * b + 1.0
+    except OverflowError:
+        return math.inf
+
+
+def regime_indicator(b: float) -> float:
+    """``1 + 2^b - 3^((b+1)/2)``: compares the two boundary minima.
+
+    Positive iff the side-parallel optimum beats the bisector one, i.e. for
+    b in (0, 1) or b > 3 (p > 2 or p < 4/3); zero exactly at the phase
+    transitions b in {1, 3}.
+    """
+    try:
+        return 1.0 + 2.0 ** b - 3.0 ** ((b + 1.0) / 2.0)
+    except OverflowError:
+        # 2^b outgrows 3^((b+1)/2) once b exceeds log(3)/(2 log 2 - log 3) < 4,
+        # so an overflowing b is deep in the positive regime
+        return math.inf
+
+
 def _log1p_2pow(b: float) -> float:
     """log(1 + 2^b), stable for large b."""
     z = b * math.log(2.0)
@@ -256,12 +288,39 @@ def triangle_min_value(p) -> float:
         return SQRT3 / 4.0
     if pn.value == 1.0:
         return SQRT3 / 2.0
-    phase = classify_phase(pn)
-    if phase is TrianglePhase.BISECTOR:
-        return 2.0 ** (1.0 - pn.value)
-    if phase in (TrianglePhase.FAMILY_P2, TrianglePhase.FAMILY_P43):
-        return 2.0 ** (1.0 - pn.value)
-    return side_parallel_value(pn)
+    if classify_phase(pn) is TrianglePhase.PARALLEL:
+        return side_parallel_value(pn)
+    # the bisectors and both families share the bisector value
+    return 2.0 ** (1.0 - pn.value)
+
+
+def _indicator_at_p(p: float) -> float:
+    return regime_indicator(1.0 / (p - 1.0))
+
+
+def locate_transitions(p_min: float, p_max: float, scan_steps: int = 512,
+                       width: float = 1e-12) -> list[float]:
+    """Phase-transition exponents in (p_min, p_max), found by bisecting the
+    sign changes of the boundary-comparison indicator."""
+    lo = max(p_min, 1.0 + 1e-9)
+    if p_max <= lo:
+        return []
+    ps = [lo + (p_max - lo) * k / scan_steps for k in range(scan_steps + 1)]
+    values = [_indicator_at_p(p) for p in ps]
+    found = []
+    for (p1, v1), (p2, v2) in zip(zip(ps, values), zip(ps[1:], values[1:])):
+        if v1 == 0.0:
+            found.append(p1)
+            continue
+        if v1 * v2 < 0.0:
+            # orient the indicator negative at p1; the width test ends the
+            # search, and the cap ends it only for a width below float spacing
+            sign = math.copysign(1.0, v1)
+            found.append(bisect_sign(lambda p: -sign * _indicator_at_p(p),
+                                     p1, p2, 200, width))
+    if values[-1] == 0.0:
+        found.append(ps[-1])
+    return found
 
 
 def family_member(p, y: float) -> ReducedPoint:

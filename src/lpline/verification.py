@@ -13,24 +13,37 @@ set degenerates to a one-parameter family.
 
 All checks here are numeric:  partial sums carry an explicit tail bound and a
 check reports ``inconclusive`` rather than ``pass`` whenever the bound cannot
-certify the claim.
+certify the claim.  :func:`triangle_cross_checks` complements the series-based
+suite by tying the analytic triangle solution to the generic solvers; the
+verify subcommand runs both.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._parallel import parallel_map
-from .triangle import stationarity_gap
+from .geometry import lp_objective
+from .numeric import minimize
+from .triangle import (
+    SQRT3,
+    ReducedPoint,
+    canonical_triangle,
+    family_indicator,
+    family_member,
+    locate_transitions,
+    reduced_objective,
+    reduced_to_line,
+    side_parallel_value,
+    stationarity_gap,
+    triangle_min_value,
+)
 
 __all__ = [
-    "family_indicator",
-    "regime_indicator",
     "stationarity_gap_over_t",
     "binomial_series_coefficient",
     "RemainderSeries",
@@ -42,38 +55,11 @@ __all__ = [
     "default_b_grid",
     "default_t_grid",
     "run_verification_suite",
+    "triangle_cross_checks",
 ]
 
 _SERIES_SWITCH = 1e-4
 _SERIES_TERMS = 9  # n = 0..8 in the even-power expansion of h
-
-
-def family_indicator(b: float) -> float:
-    """``2^b - 3b + 1``: half the limit of h at t = 0.
-
-    Its zeros b in {1, 3} mark the exponents with degenerate optimal families
-    (p = 2 and p = 4/3); elsewhere its sign is the sign of h on all of (0, 1).
-    The function is convex in b.
-    """
-    try:
-        return 2.0 ** b - 3.0 * b + 1.0
-    except OverflowError:
-        return math.inf
-
-
-def regime_indicator(b: float) -> float:
-    """``1 + 2^b - 3^((b+1)/2)``: compares the two boundary minima.
-
-    Positive iff the side-parallel optimum beats the bisector one, i.e. for
-    b in (0, 1) or b > 3 (p > 2 or p < 4/3); zero exactly at the phase
-    transitions b in {1, 3}.
-    """
-    try:
-        return 1.0 + 2.0 ** b - 3.0 ** ((b + 1.0) / 2.0)
-    except OverflowError:
-        # 2^b outgrows 3^((b+1)/2) once b exceeds log(3)/(2 log 2 - log 3) < 4,
-        # so an overflowing b is deep in the positive regime
-        return math.inf
 
 
 def binomial_series_coefficient(b: float, k: int) -> float:
@@ -327,9 +313,90 @@ def run_verification_suite(b_grid=None, t_grid=None, n_terms: int = 64) -> Suite
     checks: list[CheckResult] = []
     for group in parallel_map(one_b, [float(b) for b in bs]):
         checks.extend(group)
-
-    if os.environ.get("LPLINE_INJECT_FAULT"):
-        # test-only hook proving the harness notices a failed check
-        checks[0] = CheckResult(checks[0].name, "fail", -abs(checks[0].margin),
-                                checks[0].worst_at, note="injected fault")
     return SuiteReport(checks)
+
+
+def _consistency_check(rng: np.random.Generator, samples: int) -> CheckResult:
+    worst = 0.0
+    worst_at = None
+    tri = canonical_triangle()
+    for _ in range(samples):
+        x = rng.uniform(1e-3, SQRT3 / 4.0 - 1e-3)
+        y = rng.uniform(0.0, x)
+        p = rng.uniform(1.05, 5.0)
+        r = ReducedPoint(x, y)
+        direct = lp_objective(tri, reduced_to_line(r), p)
+        reduced = reduced_objective(r, p)
+        rel = abs(direct - reduced) / (1.0 + abs(reduced))
+        if rel > worst:
+            worst, worst_at = rel, p
+    status = "pass" if worst <= 1e-12 else "fail"
+    return CheckResult("reduced-objective-consistency", status, worst, worst_at,
+                       note="max relative gap between reduced and direct objectives")
+
+
+def _family_constancy_check(p, label: str, samples: int) -> CheckResult:
+    ys = np.linspace(0.0, SQRT3 / 6.0, samples)
+    values = [reduced_objective(family_member(p, float(y)), p) for y in ys]
+    spread = max(values) - min(values)
+    status = "pass" if spread <= 1e-12 else "fail"
+    return CheckResult(f"family-constancy[{label}]", status, spread,
+                       note="value spread along the optimal family")
+
+
+def _minimize_check(p: float) -> CheckResult:
+    report = minimize(canonical_triangle(), p)
+    gap = abs(report.optimal.min_value - triangle_min_value(p))
+    status = "pass" if gap <= 1e-8 else "fail"
+    return CheckResult(f"minimize-matches-closed-form[p={p:g}]", status, gap,
+                       note="numeric minimum vs analytic value")
+
+
+def _transition_check() -> CheckResult:
+    found = locate_transitions(1.01, 3.0)
+    targets = (4.0 / 3.0, 2.0)
+    if len(found) != 2:
+        return CheckResult("transition-location", "fail", math.nan,
+                           note=f"expected 2 transitions, found {len(found)}")
+    gap = max(abs(a - b) for a, b in zip(sorted(found), targets))
+    status = "pass" if gap <= 1e-10 else "fail"
+    return CheckResult("transition-location", status, gap,
+                       note="distance of located transitions from 4/3 and 2")
+
+
+def _trichotomy_check() -> CheckResult:
+    ps = np.linspace(1.0125, 6.0, 400)
+    worst = math.inf
+    worst_at = None
+    ok = True
+    for p in ps:
+        p = float(p)
+        diff = side_parallel_value(p) - 2.0 ** (1.0 - p)
+        if abs(p - 2.0) < 1e-12 or abs(p - 4.0 / 3.0) < 1e-12:
+            ok = ok and abs(diff) < 1e-14  # exact tie at the transitions
+            continue
+        if 4.0 / 3.0 < p < 2.0:
+            margin = diff  # bisector regime: side-parallel must lose
+        else:
+            margin = -diff  # side-parallel regime: it must win
+        if margin < worst:
+            worst, worst_at = margin, p
+    status = "pass" if ok and worst > 0.0 else "fail"
+    return CheckResult("boundary-trichotomy", status, worst, worst_at,
+                       note="signed gap between the two boundary minima")
+
+
+def triangle_cross_checks(quick: bool = False, seed: int = 20240817) -> list[CheckResult]:
+    """Check the analytic triangle solution against the generic solvers;
+    ``quick`` uses fewer samples and exponents."""
+    rng = np.random.default_rng(seed)
+    checks = [
+        _consistency_check(rng, 100 if quick else 500),
+        _family_constancy_check(2.0, "p=2", 100),
+        _family_constancy_check(4.0 / 3.0, "p=4/3", 100),
+        _transition_check(),
+        _trichotomy_check(),
+    ]
+    for p in ((1.5, 3.0) if quick else (1.1, 1.25, 1.5, 1.9, 2.5, 4.0, 8.0)):
+        checks.append(_minimize_check(p))
+    return checks

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from lpline import Point2, UnitLine, canonicalize, line_through
+from lpline import (
+    Point2,
+    UnitLine,
+    canonicalize,
+    default_eps_zero,
+    distance_vector,
+    line_through,
+    lp_objective,
+)
 from lpline.numeric import grid_min
 
 
@@ -96,6 +104,21 @@ def assert_same_line_sets(got, expected, tol: float = 1e-9):
     for g in got:
         nearest = min(line_param_distance(g, h) for h in expected)
         assert nearest <= tol, f"line {g} misses the expected set by {nearest:g}"
+
+
+def attained_value(points, opt, p) -> float:
+    """Worst objective value over the listed lines and sampled family members."""
+    values = [lp_objective(points, g, p) for g in opt.lines]
+    for fam in opt.families:
+        values.extend(lp_objective(points, g, p) for g in fam.sample_lines())
+    return max(values) if values else opt.min_value
+
+
+def contains_count(points, g: UnitLine, eps: float | None = None) -> int:
+    """Number of input points lying on the line within ``eps``."""
+    if eps is None:
+        eps = default_eps_zero(points)
+    return int(np.sum(distance_vector(points, g) <= eps))
 
 
 @pytest.fixture

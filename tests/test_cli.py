@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lpline import verification
 from lpline.cli import main
 from lpline.fileio import (
     fmt,
@@ -217,7 +218,8 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("LPLINE_INJECT_FAULT", "1")
+        monkeypatch.setattr(verification, "_check_sign_constant",
+                            lambda b, ts: verification.CheckResult("injected", "fail", -1.0))
         assert main(["verify", "--quick"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert not doc["ok"]

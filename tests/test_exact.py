@@ -15,11 +15,12 @@ from lpline import (
     solve_p2,
     solve_pinf,
 )
-from lpline.exact import contains_count
 from lpline.triangle import canonical_triangle
 
 from conftest import (
     assert_same_line_sets,
+    attained_value,
+    contains_count,
     random_points,
     random_isometry,
     refined_oracle,
@@ -178,7 +179,6 @@ class TestSolverInvariants:
                 assert_same_line_sets(moved.lines, mapped, tol=1e-7)
 
     def test_every_listed_line_attains_min(self, solver, p, rng):
-        from lpline.exact import attained_value
         for _ in range(20):
             pts = random_points(rng)
             opt = solver(pts)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lpline import (
@@ -13,8 +14,13 @@ from lpline import (
     objective_gradient,
     point_line_distance,
     sign_partition,
+    solve,
+    solve_p1,
+    solve_p2,
+    solve_pinf,
 )
 from lpline.exact import DegenerateInputError
+from lpline.numeric import bisect_sign
 from lpline.triangle import canonical_triangle, side_parallel_offset, side_parallel_value
 
 from conftest import random_points, refined_oracle
@@ -184,6 +190,42 @@ class TestMinimize:
                 mapped = [transform_line(g, iso) for g in base.optimal.lines]
                 for g in moved.optimal.lines:
                     assert min(line_param_distance(g, h) for h in mapped) < 1e-6
+
+
+class TestSolveDispatch:
+    def test_closed_forms_at_1_2_inf(self):
+        pts = random_points(np.random.default_rng(3), 6)
+        assert solve(pts, 1) == solve_p1(pts)
+        assert solve(pts, "2") == solve_p2(pts)
+        assert solve(pts, "inf") == solve_pinf(pts)
+
+    def test_minimize_elsewhere_with_config(self):
+        cfg = SolverConfig(theta_samples=180)
+        assert solve(TRI, 1.5, cfg) == minimize(TRI, 1.5, cfg).optimal
+
+    def test_degenerate_input_raises(self):
+        for p in (1, 1.5, 2, "inf"):
+            with pytest.raises(DegenerateInputError):
+                solve([Point2(1.0, 1.0), Point2(1.0, 1.0)], p)
+
+
+class TestBisectSign:
+    def test_converges_to_the_sign_change(self):
+        root = bisect_sign(lambda x: x * x - 2.0, 1.0, 2.0, 80)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+    def test_width_and_cap_stop_early(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        assert abs(bisect_sign(f, 0.0, 1.0, 80, width=0.1) - 0.3) <= 0.05
+        assert len(calls) == 4
+        calls.clear()
+        bisect_sign(f, 0.0, 1.0, 3)
+        assert len(calls) == 3
 
 
 class TestDistanceOrderingAtOptima:

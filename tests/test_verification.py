@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lpline.triangle import stationarity_gap
+from lpline import verification
+from lpline.triangle import family_indicator, regime_indicator, stationarity_gap
 from lpline.verification import (
+    CheckResult,
     RemainderSeries,
     default_b_grid,
     default_t_grid,
-    family_indicator,
-    regime_indicator,
     remainder_coefficients,
     remainder_partial_sum,
     run_verification_suite,
@@ -182,7 +182,8 @@ class TestSuite:
         assert not report.inconclusive
 
     def test_injected_fault_detected(self, monkeypatch):
-        monkeypatch.setenv("LPLINE_INJECT_FAULT", "1")
+        monkeypatch.setattr(verification, "_check_sign_constant",
+                            lambda b, ts: CheckResult("injected", "fail", -1.0))
         report = run_verification_suite(b_grid=[2.0], t_grid=default_t_grid(128))
         assert not report.ok
 
