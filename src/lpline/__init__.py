@@ -38,7 +38,6 @@ from .numeric import (
     SolveReport,
     SolverConfig,
     best_offset_for_direction,
-    brute_force_oracle,
     minimize,
     objective_gradient,
     solve,
@@ -83,7 +82,7 @@ __all__ = [
     "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
     "solve_p1", "solve_p2", "solve_pinf",
     "SolveReport", "SolverConfig", "best_offset_for_direction",
-    "brute_force_oracle", "minimize", "objective_gradient", "solve",
+    "minimize", "objective_gradient", "solve",
     "BParam", "ReducedPoint", "TrianglePhase",
     "canonical_triangle", "centroid", "classify_phase", "critical_x_of_y",
     "family_indicator", "family_member", "reduced_gradient", "reduced_objective",

@@ -193,10 +193,15 @@ def lines_close(g1: UnitLine, g2: UnitLine, atol: float = 1e-9) -> bool:
 
 
 def _as_xy(points) -> np.ndarray:
-    pairs = [(p.x, p.y) if isinstance(p, Point2) else tuple(p) for p in points]
-    if not pairs:
-        return np.empty((0, 2))
-    arr = np.asarray(pairs, dtype=float)
+    """The points as an (m, 2) float array; an ndarray passes through uncopied
+    when it is already a C-contiguous float array."""
+    if isinstance(points, np.ndarray):
+        arr = np.ascontiguousarray(points, dtype=float)
+    else:
+        pairs = [(p.x, p.y) if isinstance(p, Point2) else tuple(p) for p in points]
+        if not pairs:
+            return np.empty((0, 2))
+        arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("points must be pairs of coordinates")
     return arr
@@ -254,15 +259,11 @@ def sign_partition(points, g: UnitLine, eps_zero: float | None = None) -> SignPa
     arr = _as_xy(points)
     nx, ny = g.normal()
     resid = arr[:, 0] * nx + arr[:, 1] * ny - g.c
-    plus, zero, minus = [], [], []
-    for j, r in enumerate(resid):
-        if abs(r) <= eps_zero:
-            zero.append(j)
-        elif r > 0.0:
-            plus.append(j)
-        else:
-            minus.append(j)
-    return SignPartition(tuple(plus), tuple(zero), tuple(minus))
+    on = np.abs(resid) <= eps_zero
+    above = resid > 0.0
+    plus, zero, minus = (tuple(np.flatnonzero(mask).tolist())
+                         for mask in (~on & above, on, ~on & ~above))
+    return SignPartition(plus, zero, minus)
 
 
 def first_order_residual(points, g: UnitLine, p, eps_zero: float | None = None) -> float:

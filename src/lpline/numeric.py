@@ -1,4 +1,4 @@
-"""General-p line minimization (1 < p < inf) and the brute-force grid oracle.
+"""General-p line minimization (1 < p < inf).
 
 The objective ``f(theta, c) = sum_j |c - a_j(theta)|^p`` with
 ``a_j(theta) = <n(theta), p_j>`` is convex in ``c`` for every fixed direction,
@@ -32,8 +32,6 @@ __all__ = [
     "best_offset_for_direction",
     "minimize",
     "solve",
-    "brute_force_oracle",
-    "grid_min",
     "objective_gradient",
 ]
 
@@ -69,6 +67,11 @@ class SolveReport:
     optima; when p is very close to 1 and the optimum continues into a line
     through two points, the balancing terms sit below float resolution and the
     reported defect stays O(1) even though the line is exact.
+
+    ``evaluations`` counts the objective evaluations of the theta scan (one
+    per scan lane and step), those of the inner offset searches in the theta
+    refinement, and each angular-slope call (envelope or through-point).
+    The offset solves inside each envelope slope call are not counted.
     """
 
     optimal: OptimalSet
@@ -80,15 +83,25 @@ def golden_section(f, lo: float, hi: float, tol: float, max_iters: int = 200):
     """Minimize a unimodal ``f`` on [lo, hi]; returns (argmin, min).
 
     Shrinks the bracket by the inverse golden ratio per iteration until its
-    width drops below ``tol``.
+    width drops below ``tol`` or ``max_iters`` iterations have run.  Once the
+    bracket has no floats left to split, the state ``(a, b, x1, x2)`` repeats
+    every one or two steps; ``f`` must be deterministic, so the loop then
+    stops at the first repeat of the state from two steps back that leaves
+    an even number of iterations under the cap, and returns exactly what
+    running to the cap would.
     """
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iters):
+    prev = prev2 = None
+    for left in range(max_iters, 0, -1):
         if b - a <= tol:
             break
+        state = (a, b, x1, x2)
+        if left % 2 == 0 and state == prev2:
+            break
+        prev2, prev = prev, state
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
@@ -106,13 +119,17 @@ def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> floa
     """Bisect the sign change of ``f`` between ``lo`` (f < 0) and ``hi`` (f >= 0).
 
     Halves the bracket at most ``iters`` times, stopping early once it is no
-    wider than ``width``, and returns its midpoint.  The caller checks the
-    bracket: nothing here evaluates ``f`` at the ends.
+    wider than ``width`` or once its midpoint rounds to one of its ends (no
+    float is left inside, so further halvings would return that midpoint),
+    and returns its midpoint.  The caller checks the bracket: nothing here
+    evaluates ``f`` at the ends.
     """
     for _ in range(iters):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -127,7 +144,7 @@ def _offsets(arr: np.ndarray, theta: float) -> np.ndarray:
 def _offset_slope(a: np.ndarray, c: float, pv: float) -> float:
     """Derivative of ``sum |c - a_j|^p`` in c, divided by p (monotone in c)."""
     r = c - a
-    return float(np.sum(np.sign(r) * np.abs(r) ** (pv - 1.0)))
+    return float(np.add.reduce(np.sign(r) * np.abs(r) ** (pv - 1.0)))
 
 
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
@@ -153,7 +170,7 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     lo, hi = float(a[0]), float(a[-1])
     if lo == hi:
         return lo, 0.0
-    f = lambda c: float(np.sum(np.abs(c - a) ** pv))
+    f = lambda c: float(np.add.reduce(np.abs(c - a) ** pv))
     c, value = golden_section(f, lo, hi, tol=1e-9 * (1.0 + hi - lo))
     slope = lambda c: _offset_slope(a, c, pv)
     width = 1e-6 * (hi - lo)
@@ -247,7 +264,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
 
         def f(c):
             counter.n += 1
-            return float(np.sum(np.abs(c - a) ** pv))
+            return float(np.add.reduce(np.abs(c - a) ** pv))
 
         _, value = golden_section(f, lo, hi, tol=cfg.c_tol * (1.0 + hi - lo),
                                   max_iters=2 * cfg.refine_iters)
@@ -255,9 +272,9 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
 
     def profile_slope(theta: float) -> float:
         # envelope derivative: df/dtheta at the inner-optimal offset
-        c, _ = best_offset_for_direction(points, theta, pn)
+        c, _ = best_offset_for_direction(arr, theta, pn)
         counter.n += 1
-        return objective_gradient(points, UnitLine(theta, c), pn)[0]
+        return objective_gradient(arr, UnitLine(theta, c), pn)[0]
 
     scale = 1.0 + float(np.max(np.abs(arr)))
 
@@ -270,7 +287,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
             counter.n += 1
             r = rel @ np.array([math.cos(alpha), math.sin(alpha)])
             dn = rel @ np.array([-math.sin(alpha), math.cos(alpha)])
-            return pv * float(np.sum(np.sign(r) * np.abs(r) ** (pv - 1.0) * dn))
+            return pv * float(np.add.reduce(np.sign(r) * np.abs(r) ** (pv - 1.0) * dn))
 
         t_lo, t_hi = theta0 - 1e-4, theta0 + 1e-4
         if not (slope(t_lo) < 0.0 < slope(t_hi)):
@@ -300,7 +317,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         value = math.inf
         theta_star = c_star = None
         for th in candidates:
-            c_th, v_th = best_offset_for_direction(points, th, pn)
+            c_th, v_th = best_offset_for_direction(arr, th, pn)
             if v_th < value:
                 theta_star, c_star, value = th, c_th, v_th
         line = UnitLine(theta_star, c_star)
@@ -343,7 +360,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
     near = int(np.sum(arc_best <= best + _DEGENERATE_RTOL * (1.0 + abs(best))))
     degenerate = near >= _DEGENERATE_ARCS
 
-    residual = max(abs(first_order_residual(points, g, pn)) for g in lines)
+    residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
     return SolveReport(
         optimal=OptimalSet(best, tuple(lines), (), degenerate=degenerate),
         stationarity_residual=residual,
@@ -364,49 +381,6 @@ def solve(points, p, config: SolverConfig | None = None) -> OptimalSet:
     return minimize(points, pn, config).optimal
 
 
-def grid_min(points, p, theta_lo: float, theta_hi: float, theta_steps: int,
-             c_steps: int, c_window: tuple[float, float] | None = None):
-    """Exhaustive (theta, c) grid argmin over the given windows.
-
-    With ``c_window=None`` the offset grid spans the signed offsets of the
-    points separately for each direction.
-    """
-    pn = PNorm.coerce(p)
-    arr = _as_xy(points)
-    if len(arr) == 0:
-        raise ValueError("empty input")
-    pv = pn.value
-    best_val = math.inf
-    best_line = None
-    thetas = theta_lo + (theta_hi - theta_lo) * np.arange(theta_steps) / theta_steps
-    ks = np.arange(c_steps) / max(c_steps - 1, 1)
-    for theta in thetas:
-        a = _offsets(arr, float(theta))
-        if c_window is None:
-            lo, hi = float(np.min(a)), float(np.max(a))
-        else:
-            lo, hi = c_window
-        cs = lo + (hi - lo) * ks if hi > lo else np.array([lo])
-        d = np.abs(cs[None, :] - a[:, None])
-        values = np.max(d, axis=0) if pn.is_inf else np.sum(d ** pv, axis=0)
-        k = int(np.argmin(values))
-        if values[k] < best_val:
-            best_val = float(values[k])
-            best_line = canonicalize(UnitLine(float(theta), float(cs[k])))
-    return best_line, best_val
-
-
-def brute_force_oracle(points, p, theta_steps: int = 720, c_steps: int = 720):
-    """Validation oracle: full-range exhaustive grid search; returns (line, value).
-
-    Every grid value is a feasible objective value, so the result is an upper
-    bound of the true minimum that tightens as the step counts grow.
-    """
-    if theta_steps < 16 or c_steps < 16:
-        raise ValueError("steps must be >= 16")
-    return grid_min(points, p, 0.0, math.pi, theta_steps, c_steps)
-
-
 def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
     """Analytic gradient ``(df/dtheta, df/dc)`` of the finite-p objective.
 
@@ -425,6 +399,6 @@ def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
     sign = np.sign(resid)
     dpow = d ** (pv - 1.0)
     da_dtheta = arr[:, 0] * (-math.sin(g.theta)) + arr[:, 1] * math.cos(g.theta)
-    df_dc = pv * float(np.sum(sign * dpow))
-    df_dtheta = pv * float(np.sum(sign * dpow * (-da_dtheta)))
+    df_dc = pv * float(np.add.reduce(sign * dpow))
+    df_dtheta = pv * float(np.add.reduce(sign * dpow * (-da_dtheta)))
     return df_dtheta, df_dc

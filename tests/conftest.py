@@ -1,4 +1,6 @@
-"""Shared test helpers: random point sets, isometries, and a refined oracle."""
+"""Shared test helpers: random point sets, isometries, the brute-force grid
+oracles, and the reference search loops that the solver's early stops must
+reproduce exactly."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from lpline import (
+    PNorm,
     Point2,
     UnitLine,
     canonicalize,
@@ -16,7 +19,8 @@ from lpline import (
     line_through,
     lp_objective,
 )
-from lpline.numeric import grid_min
+from lpline.geometry import _as_xy
+from lpline.numeric import _INV_PHI
 
 
 def random_points(rng: np.random.Generator, count: int | None = None,
@@ -52,6 +56,49 @@ def transform_line(g: UnitLine, iso) -> UnitLine:
     p0 = Point2(g.c * nx, g.c * ny)
     p1 = Point2(p0.x + dx, p0.y + dy)
     return line_through(iso(p0), iso(p1))
+
+
+def grid_min(points, p, theta_lo: float, theta_hi: float, theta_steps: int,
+             c_steps: int, c_window: tuple[float, float] | None = None):
+    """Exhaustive (theta, c) grid argmin over the given windows.
+
+    With ``c_window=None`` the offset grid spans the signed offsets of the
+    points separately for each direction.
+    """
+    pn = PNorm.coerce(p)
+    arr = _as_xy(points)
+    if len(arr) == 0:
+        raise ValueError("empty input")
+    pv = pn.value
+    best_val = math.inf
+    best_line = None
+    thetas = theta_lo + (theta_hi - theta_lo) * np.arange(theta_steps) / theta_steps
+    ks = np.arange(c_steps) / max(c_steps - 1, 1)
+    for theta in thetas:
+        a = arr[:, 0] * math.cos(theta) + arr[:, 1] * math.sin(theta)
+        if c_window is None:
+            lo, hi = float(np.min(a)), float(np.max(a))
+        else:
+            lo, hi = c_window
+        cs = lo + (hi - lo) * ks if hi > lo else np.array([lo])
+        d = np.abs(cs[None, :] - a[:, None])
+        values = np.max(d, axis=0) if pn.is_inf else np.sum(d ** pv, axis=0)
+        k = int(np.argmin(values))
+        if values[k] < best_val:
+            best_val = float(values[k])
+            best_line = canonicalize(UnitLine(float(theta), float(cs[k])))
+    return best_line, best_val
+
+
+def brute_force_oracle(points, p, theta_steps: int = 720, c_steps: int = 720):
+    """Validation oracle: full-range exhaustive grid search; returns (line, value).
+
+    Every grid value is a feasible objective value, so the result is an upper
+    bound of the true minimum that tightens as the step counts grow.
+    """
+    if theta_steps < 16 or c_steps < 16:
+        raise ValueError("steps must be >= 16")
+    return grid_min(points, p, 0.0, math.pi, theta_steps, c_steps)
 
 
 def refined_oracle(points, p, theta_steps: int = 720, c_steps: int = 480,
@@ -119,6 +166,41 @@ def contains_count(points, g: UnitLine, eps: float | None = None) -> int:
     if eps is None:
         eps = default_eps_zero(points)
     return int(np.sum(distance_vector(points, g) <= eps))
+
+
+def golden_section_reference(f, lo: float, hi: float, tol: float, max_iters: int = 200):
+    """``numeric.golden_section`` without its early stop: runs to ``tol`` or the cap."""
+    a, b = lo, hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iters):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = f(x2)
+    if f1 <= f2:
+        return x1, f1
+    return x2, f2
+
+
+def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.0) -> float:
+    """``numeric.bisect_sign`` without its early stop: runs to ``width`` or the cap."""
+    for _ in range(iters):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture

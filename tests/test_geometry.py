@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpline import (
     PNorm,
     Point2,
+    SignPartition,
     UnitLine,
     canonicalize,
     first_order_residual,
@@ -18,6 +19,7 @@ from lpline import (
     point_line_distance,
     sign_partition,
 )
+from lpline.geometry import _as_xy
 from lpline.triangle import canonical_triangle
 
 from conftest import random_points, random_isometry, transform_line
@@ -127,6 +129,39 @@ class TestSignPartition:
         part = sign_partition(TRI, UnitLine(0.1, 0.0), eps_zero=100.0)
         assert part.j_zero == (0, 1, 2)
         assert part.j_plus == () and part.j_minus == ()
+
+    def test_matches_per_point_loop(self, rng):
+        for _ in range(50):
+            pts = random_points(rng, count=int(rng.integers(1, 12)))
+            g = UnitLine(float(rng.uniform(0.0, math.pi)), float(rng.uniform(-1.0, 1.0)))
+            eps = float(rng.choice([0.0, 1e-9, 0.2]))
+            plus, zero, minus = [], [], []
+            for j, q in enumerate(pts):
+                r = q.x * math.cos(g.theta) + q.y * math.sin(g.theta) - g.c
+                (zero if abs(r) <= eps else plus if r > 0.0 else minus).append(j)
+            part = sign_partition(pts, g, eps)
+            assert part == SignPartition(tuple(plus), tuple(zero), tuple(minus))
+            assert all(type(j) is int for j in part.j_plus + part.j_zero + part.j_minus)
+
+
+class TestAsXY:
+    def test_float_ndarray_passes_through(self):
+        arr = np.array([[0.0, 1.0], [2.0, 3.5]])
+        assert _as_xy(arr) is arr
+
+    def test_ndarray_and_list_give_the_same_values(self, rng):
+        pts = random_points(rng, count=7)
+        from_list = _as_xy(pts)
+        from_array = _as_xy(np.array([[q.x, q.y] for q in pts], dtype=np.float32))
+        assert from_array.dtype == np.float64 and from_array.flags.c_contiguous
+        from_fortran = _as_xy(np.asfortranarray(from_list))
+        assert from_fortran.flags.c_contiguous and np.array_equal(from_fortran, from_list)
+        assert np.array_equal(from_array, from_list.astype(np.float32))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError):
+            _as_xy(np.zeros(shape))
 
 
 class TestFirstOrderResidual:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpline import (
     Point2,
     SolverConfig,
     UnitLine,
     best_offset_for_direction,
-    brute_force_oracle,
     lp_objective,
     minimize,
     objective_gradient,
@@ -19,11 +20,18 @@ from lpline import (
     solve_p2,
     solve_pinf,
 )
+from lpline import numeric
 from lpline.exact import DegenerateInputError
-from lpline.numeric import bisect_sign
+from lpline.numeric import bisect_sign, golden_section
 from lpline.triangle import canonical_triangle, side_parallel_offset, side_parallel_value
 
-from conftest import random_points, refined_oracle
+from conftest import (
+    bisect_sign_reference,
+    brute_force_oracle,
+    golden_section_reference,
+    random_points,
+    refined_oracle,
+)
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()
@@ -226,6 +234,111 @@ class TestBisectSign:
         calls.clear()
         bisect_sign(f, 0.0, 1.0, 3)
         assert len(calls) == 3
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
+# brackets 1 to 1e12 ulps wide at offsets up to 1e9, holding a convex
+# |x - x0|^q (or, for bisection, its monotone slope) whose minimum or root
+# sits inside, at an end or outside; caps of both parities; zero and
+# positive tolerances
+_SEARCH = dict(
+    offset=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+    ulps=st.integers(0, 12).flatmap(lambda e: st.integers(1, 10 ** e)),
+    where=st.floats(-0.5, 1.5),
+    q=st.floats(1.0, 4.0),
+    cap=st.integers(1, 210),
+    tol_ulps=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+)
+
+
+def _bracket(offset, ulps, where):
+    lo = offset
+    hi = lo + ulps * math.ulp(lo)
+    return lo, hi, lo + where * (hi - lo)
+
+
+class TestEarlyStops:
+    """The stops at float resolution return exactly what the capped loops do."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(**_SEARCH)
+    def test_golden_section_matches_reference(self, offset, ulps, where, q, cap, tol_ulps):
+        lo, hi, x0 = _bracket(offset, ulps, where)
+        f, calls = _counted(lambda x: abs(x - x0) ** q)
+        f_ref, calls_ref = _counted(lambda x: abs(x - x0) ** q)
+        tol = tol_ulps * math.ulp(lo)
+        got = golden_section(f, lo, hi, tol, cap)
+        assert got == golden_section_reference(f_ref, lo, hi, tol, cap)
+        assert calls == calls_ref[:len(calls)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(**_SEARCH)
+    def test_bisect_sign_matches_reference(self, offset, ulps, where, q, cap, tol_ulps):
+        lo, hi, x0 = _bracket(offset, ulps, where)
+        slope = lambda x: math.copysign(abs(x - x0) ** (q - 1.0), x - x0)
+        f, calls = _counted(slope)
+        f_ref, calls_ref = _counted(slope)
+        width = tol_ulps * math.ulp(lo)
+        got = bisect_sign(f, lo, hi, cap, width)
+        assert got == bisect_sign_reference(f_ref, lo, hi, cap, width)
+        assert calls == calls_ref[:len(calls)]
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, -3.0, 2.7e5, 1e9])
+    def test_adjacent_floats_stop_at_once(self, x):
+        hi = math.nextafter(x, math.inf)
+        f, calls = _counted(lambda t: t - hi)
+        assert bisect_sign(f, x, hi, 200) == bisect_sign_reference(f, x, hi, 200)
+        assert len(calls) == 200  # the reference spends its whole cap on x
+        calls.clear()
+        bisect_sign(f, x, hi, 200)
+        assert calls == []
+        for cap in (120, 121, 200):
+            g, g_calls = _counted(lambda t: abs(t - hi) ** 1.5)
+            assert golden_section(g, x, hi, 0.0, cap) == golden_section_reference(g, x, hi, 0.0, cap)
+            g_calls.clear()
+            golden_section(g, x, hi, 0.0, cap)
+            assert len(g_calls) <= 6
+
+
+def _regular_polygon(n: int) -> list[Point2]:
+    return [Point2(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+            for k in range(n)]
+
+
+def _band_with_outlier() -> list[Point2]:
+    rng = np.random.default_rng(7)
+    xs = np.linspace(0.0, 4.0, 12)
+    pts = [Point2(float(x), float(0.3 * x + 0.05 * e))
+           for x, e in zip(xs, rng.standard_normal(12))]
+    return pts + [Point2(2.0, 3.0)]
+
+
+class TestMinimizeBitIdentity:
+    """``minimize`` with the early-stopping loops against the capped loops."""
+
+    @pytest.mark.parametrize("points, p", [
+        ([Point2(q.x + 1e6, q.y + 1e6) for q in TRI], 1.5),
+        (_regular_polygon(9), 3.0),
+        (_band_with_outlier(), 1.2),
+        (TRI, 60.0),
+    ], ids=["triangle-shifted-1e6", "9-gon-p3", "band-outlier-p1.2", "triangle-p60"])
+    def test_same_result_with_fewer_evaluations(self, points, p, monkeypatch):
+        fast = minimize(points, p)
+        monkeypatch.setattr(numeric, "golden_section", golden_section_reference)
+        monkeypatch.setattr(numeric, "bisect_sign", bisect_sign_reference)
+        capped = minimize(points, p)
+        assert fast.optimal == capped.optimal
+        assert fast.stationarity_residual == capped.stationarity_residual
+        assert fast.evaluations <= capped.evaluations
 
 
 class TestDistanceOrderingAtOptima:
