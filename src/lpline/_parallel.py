@@ -1,26 +1,18 @@
-"""Thread-pool map with the worker count capped by LPLINE_THREADS."""
+"""Ordered serial map for the p sweep and the verification battery.
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
+The mapped work is pure Python and small numpy arrays, so threads would only
+contend for the GIL; a plain list comprehension is faster and gives the same
+results in the same order.  The module stays only as the one seam the
+benchmark's tracer wraps (``parallel.map`` spans); it goes together with the
+tracer's map wrapping and the ``parallel.map.*`` metrics.
+"""
 
 
 def thread_count() -> int:
-    raw = os.environ.get("LPLINE_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Workers ``parallel_map`` uses: always 1 (the tracer records it)."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Apply ``fn`` over ``items`` preserving order; serial when capped to 1."""
-    items = list(items)
-    workers = min(thread_count(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply ``fn`` over ``items`` in order."""
+    return [fn(item) for item in items]

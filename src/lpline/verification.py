@@ -137,7 +137,8 @@ class RemainderSeries:
         t2 = arr * arr
         acc = np.zeros_like(arr)
         for cn in reversed(self.coefficients):
-            acc = acc * t2 + cn
+            acc *= t2
+            acc += cn
         out = acc * t2  # lowest power is t^2 (n = 2 term)
         return float(out) if arr.ndim == 0 else out
 
@@ -250,7 +251,10 @@ def _check_sign_constant(b: float, t_grid: np.ndarray) -> CheckResult:
 
 def _check_remainder_bound(b: float, t_grid: np.ndarray, n_terms: int) -> CheckResult:
     name = f"remainder-lower-bound[b={b:g}]"
-    series = RemainderSeries(b, n_terms)
+    # the recurrence does not depend on n_max: the first n_terms - 1
+    # coefficients of the extended range are the truncated series
+    all_coeffs = remainder_coefficients(b, 2 * n_terms)
+    series = RemainderSeries(b, n_terms, coefficients=tuple(all_coeffs[:n_terms - 1]))
     coeffs = np.asarray(series.coefficients)
     partial = series.partial_sum(t_grid)
     if b <= 2.0:
@@ -266,7 +270,7 @@ def _check_remainder_bound(b: float, t_grid: np.ndarray, n_terms: int) -> CheckR
     # the geometric bound degenerates as t -> 1; there the dropped terms obey
     # |a_n| <= 1/(2n(n-1)) (checked on an extended range, decaying below it),
     # whose full tail telescopes to 1/(2N)
-    extended = remainder_coefficients(b, 2 * n_terms)[n_terms - 1:]
+    extended = all_coeffs[n_terms - 1:]
     ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
     normalized = np.abs(extended) * 2.0 * ns * (ns - 1.0)
     if np.all(normalized <= 1.0) and np.all(np.diff(normalized) <= 1e-12):

@@ -203,6 +203,17 @@ def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.
     return 0.5 * (lo + hi)
 
 
+def remainder_partial_sum_reference(coefficients, t):
+    """``RemainderSeries.partial_sum`` with a fresh accumulator per Horner step."""
+    arr = np.asarray(t, dtype=float)
+    t2 = arr * arr
+    acc = np.zeros_like(arr)
+    for cn in reversed(coefficients):
+        acc = acc * t2 + cn
+    out = acc * t2
+    return float(out) if arr.ndim == 0 else out
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)

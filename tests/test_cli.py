@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import pytest
 
@@ -225,16 +226,34 @@ class TestVerifyCommand:
         assert not doc["ok"]
 
 
-class TestThreadCap:
-    def test_thread_env_respected(self, monkeypatch):
-        from lpline._parallel import thread_count
-        monkeypatch.setenv("LPLINE_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("LPLINE_THREADS", "junk")
-        assert thread_count() >= 1
+class TestSerialMap:
+    """Sweeps and the verification battery run in the calling thread."""
 
-    def test_sweep_single_threaded_matches(self, monkeypatch):
-        rows_par = triangle_sweep(1.1, 2.9, 30)
-        monkeypatch.setenv("LPLINE_THREADS", "1")
-        rows_ser = triangle_sweep(1.1, 2.9, 30)
-        assert rows_par == rows_ser
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_sweep_starts_no_thread(self, no_threads):
+        rows = triangle_sweep(1.01, 3.0, 2000, include_inf=True)
+        assert len(rows) == 2003  # 2000 steps, 4/3 and 2 inserted, and inf
+        assert [r.p for r in rows[:-1]] == sorted(r.p for r in rows[:-1])
+
+    def test_suite_starts_no_thread(self, no_threads):
+        assert verification.run_verification_suite().ok
+
+    def test_suite_checks_follow_b_order(self):
+        bs = [2.5, 1.0, 7.3, 0.5, 3.0, 1.1]
+        ts = verification.default_t_grid(512)
+        expected = []
+        for b in bs:
+            if b in (1.0, 3.0):
+                expected.append(verification._check_identically_zero(b, ts))
+            else:
+                expected.append(verification._check_sign_constant(b, ts))
+            if b > 1.0:
+                expected.append(verification._check_remainder_bound(b, ts, 64))
+        report = verification.run_verification_suite(b_grid=bs, t_grid=ts)
+        assert [c.as_dict() for c in report.checks] == [c.as_dict() for c in expected]

@@ -47,3 +47,12 @@ def test_upward_exception_is_function_local():
     top_level = [node.module for node in tree.body
                  if isinstance(node, ast.ImportFrom) and node.level == 1]
     assert "triangle" not in top_level
+
+
+def test_no_environment_reads_or_thread_pools():
+    banned = ("os.environ", "getenv", "ThreadPoolExecutor")
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        hits += [f"{path.name}: {word}" for word in banned if word in text]
+    assert not hits

@@ -17,6 +17,8 @@ from lpline.verification import (
     stationarity_gap_over_t,
 )
 
+from conftest import remainder_partial_sum_reference
+
 
 def exact_coefficient(b: Fraction, n: int) -> Fraction:
     """Direct factorial-product form of the series coefficients (oracle)."""
@@ -146,6 +148,21 @@ class TestRemainderSeries:
             assert bound is not None
             gap = np.abs(long.partial_sum(t) - short.partial_sum(t))
             assert np.all(gap <= bound + 1e-15)
+
+    @pytest.mark.parametrize("b", [1.1, 2.0, 2.5, 7.3, 20.0])
+    def test_in_place_horner_is_bit_identical(self, b):
+        series = RemainderSeries(b, 64)
+        ts = default_t_grid()
+        assert np.array_equal(series.partial_sum(ts),
+                              remainder_partial_sum_reference(series.coefficients, ts))
+        scalar = series.partial_sum(0.37)
+        assert isinstance(scalar, float)
+        assert scalar == remainder_partial_sum_reference(series.coefficients, 0.37)
+
+    def test_coefficient_prefix_is_independent_of_n_max(self):
+        for b in default_b_grid():
+            assert np.array_equal(remainder_coefficients(float(b), 128)[:63],
+                                  remainder_coefficients(float(b), 64))
 
 
 class TestSuite:
