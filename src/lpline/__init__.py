@@ -36,14 +36,12 @@ from .exact import (
 )
 from .numeric import (
     SolveReport,
-    SolverConfig,
     best_offset_for_direction,
     minimize,
     objective_gradient,
     solve,
 )
 from .triangle import (
-    BParam,
     ReducedPoint,
     TrianglePhase,
     canonical_triangle,
@@ -81,9 +79,9 @@ __all__ = [
     "DegenerateInputError", "FamilyDescriptor", "OptimalSet",
     "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
     "solve_p1", "solve_p2", "solve_pinf",
-    "SolveReport", "SolverConfig", "best_offset_for_direction",
+    "SolveReport", "best_offset_for_direction",
     "minimize", "objective_gradient", "solve",
-    "BParam", "ReducedPoint", "TrianglePhase",
+    "ReducedPoint", "TrianglePhase",
     "canonical_triangle", "centroid", "classify_phase", "critical_x_of_y",
     "family_indicator", "family_member", "reduced_gradient", "reduced_objective",
     "reduced_to_line", "regime_indicator",

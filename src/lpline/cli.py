@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .exact import (
@@ -20,7 +19,7 @@ from .exact import (
 )
 from .fileio import load_points, locate_transitions, triangle_sweep, write_sweep_csv
 from .geometry import PNorm, UnitLine
-from .numeric import SolverConfig, minimize, solve
+from .numeric import minimize, solve
 from .svgfig import render_triangle_figure
 from .verification import run_verification_suite, SuiteReport, triangle_cross_checks
 
@@ -42,23 +41,10 @@ def _family_dict(fam) -> dict:
     raise TypeError(f"unknown family {fam!r}")
 
 
-def _solve_config(overrides: list[str]) -> SolverConfig:
-    defaults = asdict(SolverConfig())
-    kwargs = {}
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in defaults:
-            raise ValueError(f"unknown config override {item!r}")
-        kwargs[key] = type(defaults[key])(value)
-    return SolverConfig(**kwargs)
-
-
 def _cmd_solve(args) -> int:
     try:
         pn = PNorm.coerce(args.p)
         points = load_points(args.points)
-        config = _solve_config(args.config or [])
         if args.exact and args.numeric:
             raise ValueError("choose at most one of --exact/--numeric")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -75,9 +61,9 @@ def _cmd_solve(args) -> int:
 
     try:
         if args.numeric:
-            opt = minimize(points, pn, config).optimal
+            opt = minimize(points, pn).optimal
         else:
-            opt = solve(points, pn, config)
+            opt = solve(points, pn)
     except (DegenerateInputError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -147,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--p", required=True, help="exponent: number, ratio like 4/3, or inf")
     p_solve.add_argument("--exact", action="store_true", help="force the closed-form solver")
     p_solve.add_argument("--numeric", action="store_true", help="force the numeric solver")
-    p_solve.add_argument("--config", action="append", metavar="KEY=VALUE",
-                         help="solver config override (repeatable)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="triangle phase sweep to CSV")

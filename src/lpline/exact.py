@@ -128,21 +128,26 @@ def _dedupe(lines: list[UnitLine], atol: float = 1e-9) -> list[UnitLine]:
     return sorted(kept, key=lambda g: (g.theta, g.c))
 
 
+def _ties(candidates: list[tuple[float, UnitLine]]) -> tuple[float, list[UnitLine]]:
+    """The best value and the distinct lines tying with it."""
+    best = min(v for v, _ in candidates)
+    tol = _TIE_RTOL * (1.0 + abs(best))
+    return best, _dedupe([g for v, g in candidates if v <= best + tol])
+
+
 def solve_p1(points) -> OptimalSet:
     """Minimize the sum of distances: enumerate all lines through point pairs."""
     arr = _check_points(points)
-    eps = default_eps_zero(points)
+    eps = default_eps_zero(arr)
 
     candidates: list[tuple[float, UnitLine]] = []
     for i, j in combinations(range(len(arr)), 2):
         if np.array_equal(arr[i], arr[j]):
             continue
         g = line_through(arr[i], arr[j])
-        candidates.append((lp_objective(points, g, 1.0), g))
+        candidates.append((lp_objective(arr, g, 1.0), g))
 
-    best = min(v for v, _ in candidates)
-    tol = _TIE_RTOL * (1.0 + abs(best))
-    lines = _dedupe([g for v, g in candidates if v <= best + tol])
+    best, lines = _ties(candidates)
 
     families: list[FamilyDescriptor] = []
     for g1, g2 in combinations(lines, 2):
@@ -218,7 +223,5 @@ def solve_pinf(points) -> OptimalSet:
         g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
         candidates.append((0.5 * (hi - lo), g))
 
-    best = min(v for v, _ in candidates)
-    tol = _TIE_RTOL * (1.0 + abs(best))
-    lines = _dedupe([g for v, g in candidates if v <= best + tol])
+    best, lines = _ties(candidates)
     return OptimalSet(best, tuple(lines))

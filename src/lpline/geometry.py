@@ -66,9 +66,6 @@ class UnitLine:
         nx, ny = self.normal()
         return Point2(self.c * nx, self.c * ny)
 
-    def canonical(self) -> "UnitLine":
-        return canonicalize(self)
-
 
 @dataclass(frozen=True)
 class PNorm:
@@ -275,8 +272,9 @@ def first_order_residual(points, g: UnitLine, p, eps_zero: float | None = None) 
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("first-order residual requires finite p > 1")
-    part = sign_partition(points, g, eps_zero)
-    d = distance_vector(points, g)
+    arr = _as_xy(points)
+    part = sign_partition(arr, g, eps_zero)
+    d = distance_vector(arr, g)
     q = pn.value - 1.0
     lo = sum(d[j] ** q for j in part.j_minus)
     hi = sum(d[j] ** q for j in part.j_plus)

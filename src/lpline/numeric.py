@@ -25,7 +25,6 @@ from .geometry import (
 from .exact import OptimalSet, _check_points, solve_p1, solve_p2, solve_pinf
 
 __all__ = [
-    "SolverConfig",
     "SolveReport",
     "golden_section",
     "bisect_sign",
@@ -41,21 +40,13 @@ MIN_THETA_SEPARATION = math.pi / 36.0
 # scan arcs agreeing with the optimum at this relative level flag a family
 _DEGENERATE_RTOL = 1e-8
 _DEGENERATE_ARCS = 12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    theta_samples: int = 720
-    refine_iters: int = 60
-    c_tol: float = 1e-12
-    value_tol: float = 1e-10
-    multistart_keep: int = 8
-
-    def __post_init__(self):
-        if self.theta_samples < 1 or self.refine_iters < 1 or self.multistart_keep < 1:
-            raise ValueError("counts must be >= 1")
-        if self.c_tol <= 0.0 or self.value_tol <= 0.0:
-            raise ValueError("tolerances must be > 0")
+# theta scan: lanes over [0, pi), and golden steps per lane and per refinement
+_THETA_SAMPLES = 720
+_REFINE_ITERS = 60
+# refinement: offset-search and tie tolerances (relative), and starts refined
+_C_TOL = 1e-12
+_VALUE_TOL = 1e-10
+_MULTISTART_KEEP = 8
 
 
 @dataclass(frozen=True)
@@ -223,7 +214,7 @@ def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
     return c, values
 
 
-def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
+def minimize(points, p) -> SolveReport:
     """Global line minimization for finite p in (1, inf).
 
     Scans ``theta`` over [0, pi), keeps the best well-separated starts, refines
@@ -234,13 +225,12 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("use exact solver")
-    cfg = config or SolverConfig()
     arr = _check_points(points)
     pv = pn.value
     counter = _Counter()
 
-    thetas = np.arange(cfg.theta_samples) * (math.pi / cfg.theta_samples)
-    _, scan_values = _scan_values(arr, thetas, pv, cfg.refine_iters, counter)
+    thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
+    _, scan_values = _scan_values(arr, thetas, pv, _REFINE_ITERS, counter)
 
     # multistart selection: best scan values, separated in theta
     order = np.argsort(scan_values, kind="stable")
@@ -253,7 +243,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         )
         if sep >= MIN_THETA_SEPARATION:
             starts.append(int(idx))
-        if len(starts) >= cfg.multistart_keep:
+        if len(starts) >= _MULTISTART_KEEP:
             break
 
     def profile(theta: float) -> float:
@@ -266,8 +256,8 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
             counter.n += 1
             return float(np.add.reduce(np.abs(c - a) ** pv))
 
-        _, value = golden_section(f, lo, hi, tol=cfg.c_tol * (1.0 + hi - lo),
-                                  max_iters=2 * cfg.refine_iters)
+        _, value = golden_section(f, lo, hi, tol=_C_TOL * (1.0 + hi - lo),
+                                  max_iters=2 * _REFINE_ITERS)
         return value
 
     def profile_slope(theta: float) -> float:
@@ -298,12 +288,12 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         value = float(np.sum(np.abs(arr @ n - c) ** pv))
         return value, UnitLine(alpha, c)
 
-    step = math.pi / cfg.theta_samples
+    step = math.pi / _THETA_SAMPLES
     refined: list[tuple[float, UnitLine]] = []
     for idx in starts:
         th0 = thetas[idx]
         theta_golden, _ = golden_section(profile, th0 - step, th0 + step,
-                                         tol=1e-14, max_iters=cfg.refine_iters)
+                                         tol=1e-14, max_iters=_REFINE_ITERS)
         # value-based search stalls at sqrt(eps) near the minimum; bisecting
         # the slope sign recovers full precision in theta (near p = 1 the
         # narrow bracket can miss the sign change, so retry at the scan step,
@@ -346,7 +336,7 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
         refined.append((value, canonicalize(line)))
 
     best = min(v for v, _ in refined)
-    tol = cfg.value_tol * (1.0 + abs(best))
+    tol = _VALUE_TOL * (1.0 + abs(best))
     lines: list[UnitLine] = []
     for v, g in sorted(refined, key=lambda t: t[0]):
         if v <= best + tol and not any(lines_close(g, h, 1e-7) for h in lines):
@@ -368,9 +358,9 @@ def minimize(points, p, config: SolverConfig | None = None) -> SolveReport:
     )
 
 
-def solve(points, p, config: SolverConfig | None = None) -> OptimalSet:
+def solve(points, p) -> OptimalSet:
     """Optimal set for any p in [1, inf]: closed form at p in {1, 2, inf},
-    :func:`minimize` (with ``config``) otherwise."""
+    :func:`minimize` otherwise."""
     pn = PNorm.coerce(p)
     if pn.is_inf:
         return solve_pinf(points)
@@ -378,7 +368,7 @@ def solve(points, p, config: SolverConfig | None = None) -> OptimalSet:
         return solve_p1(points)
     if pn.value == 2.0:
         return solve_p2(points)
-    return minimize(points, pn, config).optimal
+    return minimize(points, pn).optimal
 
 
 def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:

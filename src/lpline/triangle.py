@@ -43,7 +43,6 @@ __all__ = [
     "SQRT3",
     "ReducedPoint",
     "TrianglePhase",
-    "BParam",
     "canonical_triangle",
     "centroid",
     "reduced_to_line",
@@ -87,20 +86,6 @@ class TrianglePhase(enum.Enum):
     BISECTOR = "bisector"      # 4/3 < p < 2: three perpendicular bisectors
     FAMILY_P2 = "family-p2"    # p = 2: pencil through the centroid
     FAMILY_P43 = "family-p43"  # p = 4/3: one-parameter reduced curve
-
-
-@dataclass(frozen=True)
-class BParam:
-    """The substituted variables b = 1/(p-1) and t = 2*sqrt(3)*y."""
-
-    b: float
-    t: float
-
-    @classmethod
-    def from_p_y(cls, p: float, y: float) -> "BParam":
-        if not (1.0 < p < math.inf):
-            raise ValueError("b requires finite p > 1")
-        return cls(1.0 / (p - 1.0), 2.0 * SQRT3 * y)
 
 
 def canonical_triangle() -> tuple[Point2, Point2, Point2]:

@@ -1,5 +1,5 @@
-"""Shared test helpers: random point sets, isometries, the brute-force grid
-oracles, and the reference search loops that the solver's early stops must
+"""Shared test helpers: random and fixed point sets, isometries, the
+brute-force grid oracles, and the reference search loops that the solver's early stops must
 reproduce exactly."""
 
 from __future__ import annotations
@@ -33,6 +33,21 @@ def random_points(rng: np.random.Generator, count: int | None = None,
         np.fill_diagonal(d2, np.inf)
         if np.min(d2) > min_sep ** 2:
             return [Point2(float(x), float(y)) for x, y in arr]
+
+
+def regular_polygon(n: int) -> list[Point2]:
+    """The regular n-gon inscribed in the unit circle, with a vertex at (1, 0)."""
+    return [Point2(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+            for k in range(n)]
+
+
+def band_with_outlier() -> list[Point2]:
+    """Twelve noisy points along y = 0.3 x plus one gross outlier."""
+    rng = np.random.default_rng(7)
+    xs = np.linspace(0.0, 4.0, 12)
+    pts = [Point2(float(x), float(0.3 * x + 0.05 * e))
+           for x, e in zip(xs, rng.standard_normal(12))]
+    return pts + [Point2(2.0, 3.0)]
 
 
 def random_isometry(rng: np.random.Generator):

@@ -1,0 +1,148 @@
+"""Golden outputs: the solvers and the CLI reproduce recorded results bit for bit.
+
+``tests/golden/outputs.json`` stores, for a fixed set of inputs, every float
+of the results as ``float.hex()`` together with the evaluation counts and
+flags, plus the sha256 of ``lpline verify --quick``'s stdout and of a
+2000-step ``lpline sweep`` file.  A change that is meant to keep outputs must
+pass these tests unchanged.  A change that alters outputs on purpose rewrites
+the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the entries that changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lpline import Point2, minimize, solve_p1, solve_p2, solve_pinf
+from lpline.cli import main
+from lpline.triangle import canonical_triangle
+
+from conftest import band_with_outlier, regular_polygon
+
+GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
+
+
+def _cloud() -> np.ndarray:
+    return np.random.default_rng(50).standard_normal((50, 2))
+
+
+SHAPES = {
+    "triangle": lambda: list(canonical_triangle()),
+    "9-gon": lambda: regular_polygon(9),
+    "cloud-list": lambda: [Point2(float(x), float(y)) for x, y in _cloud()],
+    "cloud-ndarray": _cloud,
+    "band-outlier": band_with_outlier,
+}
+
+MINIMIZE_CASES = {
+    "triangle-p1.1": ("triangle", 1.1),
+    "triangle-p4/3": ("triangle", "4/3"),
+    "triangle-p1.5": ("triangle", 1.5),
+    "triangle-p3": ("triangle", 3.0),
+    "triangle-p60": ("triangle", 60.0),
+    "9-gon-p3": ("9-gon", 3.0),
+    "cloud-list-p1.2": ("cloud-list", 1.2),
+    "cloud-ndarray-p1.2": ("cloud-ndarray", 1.2),
+    "band-outlier-p1.2": ("band-outlier", 1.2),
+}
+
+EXACT_SOLVERS = {"solve_p1": solve_p1, "solve_p2": solve_p2, "solve_pinf": solve_pinf}
+EXACT_CASES = [f"{solver}-{shape}" for solver in EXACT_SOLVERS for shape in SHAPES]
+
+SWEEP_ARGS = ["--p-min", "1.01", "--p-max", "3", "--steps", "2000", "--include-inf"]
+
+
+def _encode(obj):
+    """A JSON form of a result in which every float is exact (``float.hex``)."""
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [_encode(item) for item in obj]
+    if dataclasses.is_dataclass(obj):
+        return {"type": type(obj).__name__,
+                **{f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
+    raise TypeError(f"cannot encode {obj!r}")
+
+
+def minimize_entry(case: str) -> dict:
+    shape, p = MINIMIZE_CASES[case]
+    report = minimize(SHAPES[shape](), p)
+    return {
+        "min_value": _encode(report.optimal.min_value),
+        "lines": _encode(report.optimal.lines),
+        "families": _encode(report.optimal.families),
+        "stationarity_residual": _encode(report.stationarity_residual),
+        "evaluations": report.evaluations,
+        "degenerate": report.optimal.degenerate,
+    }
+
+
+def exact_entry(case: str) -> dict:
+    solver, shape = case.split("-", 1)
+    return _encode(EXACT_SOLVERS[solver](SHAPES[shape]()))
+
+
+def verify_quick_sha256() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--quick"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def sweep_sha256() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        assert main(["sweep", *SWEEP_ARGS, "--out", str(path)]) == 0
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def record() -> dict:
+    return {
+        "minimize": {case: minimize_entry(case) for case in MINIMIZE_CASES},
+        "exact": {case: exact_entry(case) for case in EXACT_CASES},
+        "cli": {"verify_quick_stdout_sha256": verify_quick_sha256(),
+                "sweep_csv_sha256": sweep_sha256()},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", list(MINIMIZE_CASES))
+def test_minimize(golden, case):
+    assert minimize_entry(case) == golden["minimize"][case]
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_exact(golden, case):
+    assert exact_entry(case) == golden["exact"][case]
+
+
+def test_verify_quick_stdout(golden):
+    assert verify_quick_sha256() == golden["cli"]["verify_quick_stdout_sha256"]
+
+
+def test_sweep_file(golden):
+    assert sweep_sha256() == golden["cli"]["sweep_csv_sha256"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from lpline import (
     Point2,
-    SolverConfig,
     UnitLine,
     best_offset_for_direction,
     lp_objective,
@@ -26,11 +26,13 @@ from lpline.numeric import bisect_sign, golden_section
 from lpline.triangle import canonical_triangle, side_parallel_offset, side_parallel_value
 
 from conftest import (
+    band_with_outlier,
     bisect_sign_reference,
     brute_force_oracle,
     golden_section_reference,
     random_points,
     refined_oracle,
+    regular_polygon,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -131,12 +133,6 @@ class TestMinimize:
         with pytest.raises(DegenerateInputError):
             minimize([Point2(1.0, 2.0), Point2(1.0, 2.0)], 2.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(theta_samples=0)
-        with pytest.raises(ValueError):
-            SolverConfig(c_tol=0.0)
-
     def test_oracle_agreement(self, rng):
         for _ in range(12):
             pts = random_points(rng)
@@ -207,9 +203,12 @@ class TestSolveDispatch:
         assert solve(pts, "2") == solve_p2(pts)
         assert solve(pts, "inf") == solve_pinf(pts)
 
-    def test_minimize_elsewhere_with_config(self):
-        cfg = SolverConfig(theta_samples=180)
-        assert solve(TRI, 1.5, cfg) == minimize(TRI, 1.5, cfg).optimal
+    def test_minimize_elsewhere(self):
+        assert solve(TRI, 1.5) == minimize(TRI, 1.5).optimal
+
+    def test_signatures_take_only_points_and_p(self):
+        for fn in (minimize, solve):
+            assert list(inspect.signature(fn).parameters) == ["points", "p"]
 
     def test_degenerate_input_raises(self):
         for p in (1, 1.5, 2, "inf"):
@@ -309,26 +308,13 @@ class TestEarlyStops:
             assert len(g_calls) <= 6
 
 
-def _regular_polygon(n: int) -> list[Point2]:
-    return [Point2(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
-            for k in range(n)]
-
-
-def _band_with_outlier() -> list[Point2]:
-    rng = np.random.default_rng(7)
-    xs = np.linspace(0.0, 4.0, 12)
-    pts = [Point2(float(x), float(0.3 * x + 0.05 * e))
-           for x, e in zip(xs, rng.standard_normal(12))]
-    return pts + [Point2(2.0, 3.0)]
-
-
 class TestMinimizeBitIdentity:
     """``minimize`` with the early-stopping loops against the capped loops."""
 
     @pytest.mark.parametrize("points, p", [
         ([Point2(q.x + 1e6, q.y + 1e6) for q in TRI], 1.5),
-        (_regular_polygon(9), 3.0),
-        (_band_with_outlier(), 1.2),
+        (regular_polygon(9), 3.0),
+        (band_with_outlier(), 1.2),
         (TRI, 60.0),
     ], ids=["triangle-shifted-1e6", "9-gon-p3", "band-outlier-p1.2", "triangle-p60"])
     def test_same_result_with_fewer_evaluations(self, points, p, monkeypatch):

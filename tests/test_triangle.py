@@ -320,24 +320,6 @@ class TestFamilies:
             family_member(2.0, 0.5)  # y beyond sqrt(3)/6
 
 
-class TestBParam:
-    def test_substitution_identities(self, rng):
-        from lpline import BParam
-        for _ in range(50):
-            p = float(rng.uniform(1.01, 10.0))
-            y = float(rng.uniform(0.0, SQRT3 / 6))
-            sub = BParam.from_p_y(p, y)
-            assert sub.b * (p - 1.0) == pytest.approx(1.0, rel=1e-14)
-            assert sub.t == pytest.approx(2.0 * SQRT3 * y, rel=1e-14)
-
-    def test_rejects_bad_p(self):
-        from lpline import BParam
-        with pytest.raises(ValueError):
-            BParam.from_p_y(1.0, 0.1)
-        with pytest.raises(ValueError):
-            BParam.from_p_y(math.inf, 0.1)
-
-
 class TestSymmetryOrbit:
     def test_side_parallel_orbit_is_three(self):
         g = reduced_to_line(ReducedPoint(side_parallel_offset(3.0), 0.0))
