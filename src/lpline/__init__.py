@@ -62,7 +62,6 @@ from .triangle import (
     triangle_optimal_set,
 )
 from .verification import (
-    RemainderSeries,
     SuiteReport,
     remainder_partial_sum,
     run_verification_suite,
@@ -87,7 +86,7 @@ __all__ = [
     "reduced_to_line", "regime_indicator",
     "side_parallel_offset", "side_parallel_value", "stationarity_gap",
     "symmetry_orbit", "triangle_min_value", "triangle_optimal_set",
-    "RemainderSeries", "SuiteReport",
+    "SuiteReport",
     "remainder_partial_sum", "run_verification_suite", "stationarity_gap_over_t",
     "__version__",
 ]

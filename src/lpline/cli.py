@@ -1,7 +1,8 @@
 """Command-line interface: solve | sweep | render | verify.
 
-Exit codes: 0 success, 2 malformed input, 3 solver failure, and 1 when the
-verification suite reports a failed check.
+Exit codes: 0 success, 2 malformed input or a file that cannot be read or
+written, 3 solver failure, and 1 when the verification suite reports a
+failed check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .exact import (
 )
 from .fileio import load_points, locate_transitions, triangle_sweep, write_sweep_csv
 from .geometry import PNorm, UnitLine
-from .numeric import minimize, solve
+from .numeric import solve
 from .svgfig import render_triangle_figure
 from .verification import run_verification_suite, SuiteReport, triangle_cross_checks
 
@@ -45,25 +46,12 @@ def _cmd_solve(args) -> int:
     try:
         pn = PNorm.coerce(args.p)
         points = load_points(args.points)
-        if args.exact and args.numeric:
-            raise ValueError("choose at most one of --exact/--numeric")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    exact_p = pn.is_inf or pn.value in (1.0, 2.0)
-    if args.exact and not exact_p:
-        print("error: --exact supports only p in {1, 2, inf}", file=sys.stderr)
-        return 2
-    if args.numeric and (pn.is_inf or pn.value == 1.0):
-        print("error: --numeric requires finite p > 1", file=sys.stderr)
-        return 2
-
     try:
-        if args.numeric:
-            opt = minimize(points, pn).optimal
-        else:
-            opt = solve(points, pn)
+        opt = solve(points, pn)
     except (DegenerateInputError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -83,11 +71,11 @@ def _cmd_sweep(args) -> int:
     try:
         rows = triangle_sweep(args.p_min, args.p_max, args.steps,
                               include_inf=args.include_inf)
-    except ValueError as exc:
+        transitions = locate_transitions(args.p_min, args.p_max)
+        write_sweep_csv(args.out, rows, transitions)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    transitions = locate_transitions(args.p_min, args.p_max)
-    write_sweep_csv(args.out, rows, transitions)
     return 0
 
 
@@ -95,10 +83,10 @@ def _cmd_render(args) -> int:
     try:
         pn = PNorm.coerce(args.p)
         svg = render_triangle_figure(pn, args.y)
-    except ValueError as exc:
+        Path(args.out).write_text(svg)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    Path(args.out).write_text(svg)
     return 0
 
 
@@ -111,7 +99,6 @@ def _cmd_verify(args) -> int:
         suite = run_verification_suite(
             b_grid=np.round(np.arange(1, 41) * 0.5, 10),
             t_grid=default_t_grid(512),
-            n_terms=64,
         )
     else:
         suite = run_verification_suite()
@@ -131,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="optimal lines for a point-set file")
     p_solve.add_argument("--points", required=True, help="CSV 'x,y' lines or JSON array")
     p_solve.add_argument("--p", required=True, help="exponent: number, ratio like 4/3, or inf")
-    p_solve.add_argument("--exact", action="store_true", help="force the closed-form solver")
-    p_solve.add_argument("--numeric", action="store_true", help="force the numeric solver")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="triangle phase sweep to CSV")

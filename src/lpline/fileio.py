@@ -46,8 +46,13 @@ def fmt(value: float) -> str:
 def parse_points_text(text: str) -> list[Point2]:
     stripped = text.lstrip()
     if stripped.startswith("["):
-        data = json.loads(text)
-        pairs = [(float(item[0]), float(item[1])) for item in data]
+        pairs = []
+        # parse_int=float leaves only floats, so a bool or a string fails the check
+        for k, item in enumerate(json.loads(text, parse_int=float), start=1):
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(isinstance(v, float) for v in item)):
+                raise ValueError(f"item {k}: expected [x, y]")
+            pairs.append(tuple(item))
     else:
         pairs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -61,11 +61,6 @@ class UnitLine:
     def direction(self) -> tuple[float, float]:
         return -math.sin(self.theta), math.cos(self.theta)
 
-    def foot(self) -> Point2:
-        """The point of the line closest to the origin (``c * n``)."""
-        nx, ny = self.normal()
-        return Point2(self.c * nx, self.c * ny)
-
 
 @dataclass(frozen=True)
 class PNorm:
@@ -263,7 +258,7 @@ def sign_partition(points, g: UnitLine, eps_zero: float | None = None) -> SignPa
     return SignPartition(plus, zero, minus)
 
 
-def first_order_residual(points, g: UnitLine, p, eps_zero: float | None = None) -> float:
+def first_order_residual(points, g: UnitLine, p) -> float:
     """Stationarity defect of the offset: ``sum_{J-} d^(p-1) - sum_{J+} d^(p-1)``.
 
     This equals ``(1/p) * df/dc``; it must vanish at any optimal line for
@@ -273,7 +268,7 @@ def first_order_residual(points, g: UnitLine, p, eps_zero: float | None = None) 
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("first-order residual requires finite p > 1")
     arr = _as_xy(points)
-    part = sign_partition(arr, g, eps_zero)
+    part = sign_partition(arr, g)
     d = distance_vector(arr, g)
     q = pn.value - 1.0
     lo = sum(d[j] ** q for j in part.j_minus)

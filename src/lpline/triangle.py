@@ -65,7 +65,10 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 _X_MAX = SQRT3 / 4.0
 _Y_FAMILY_MAX = SQRT3 / 6.0
-_MEMBER_TOL = 1e-12
+_MEMBER_TOL = 1e-12  # slack of the membership tests in M and on a family
+_SCAN_STEPS = 512  # grid of locate_transitions before bisection
+_TRANSITION_WIDTH = 1e-12
+_ORBIT_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,9 @@ class ReducedPoint:
     x: float
     y: float
 
-    def in_domain(self, slack: float = 1e-12) -> bool:
-        return (-slack <= self.y <= self.x + slack) and (self.x <= _X_MAX + slack)
+    def in_domain(self) -> bool:
+        tol = _MEMBER_TOL
+        return (-tol <= self.y <= self.x + tol) and (self.x <= _X_MAX + tol)
 
 
 class TrianglePhase(enum.Enum):
@@ -283,14 +287,13 @@ def _indicator_at_p(p: float) -> float:
     return regime_indicator(1.0 / (p - 1.0))
 
 
-def locate_transitions(p_min: float, p_max: float, scan_steps: int = 512,
-                       width: float = 1e-12) -> list[float]:
+def locate_transitions(p_min: float, p_max: float) -> list[float]:
     """Phase-transition exponents in (p_min, p_max), found by bisecting the
     sign changes of the boundary-comparison indicator."""
     lo = max(p_min, 1.0 + 1e-9)
     if p_max <= lo:
         return []
-    ps = [lo + (p_max - lo) * k / scan_steps for k in range(scan_steps + 1)]
+    ps = [lo + (p_max - lo) * k / _SCAN_STEPS for k in range(_SCAN_STEPS + 1)]
     values = [_indicator_at_p(p) for p in ps]
     found = []
     for (p1, v1), (p2, v2) in zip(zip(ps, values), zip(ps[1:], values[1:])):
@@ -302,7 +305,7 @@ def locate_transitions(p_min: float, p_max: float, scan_steps: int = 512,
             # search, and the cap ends it only for a width below float spacing
             sign = math.copysign(1.0, v1)
             found.append(bisect_sign(lambda p: -sign * _indicator_at_p(p),
-                                     p1, p2, 200, width))
+                                     p1, p2, 200, _TRANSITION_WIDTH))
     if values[-1] == 0.0:
         found.append(ps[-1])
     return found
@@ -345,7 +348,7 @@ def _symmetry_maps():
 _SYMMETRY_MAPS = _symmetry_maps()
 
 
-def symmetry_orbit(g: UnitLine, atol: float = 1e-9) -> list[UnitLine]:
+def symmetry_orbit(g: UnitLine) -> list[UnitLine]:
     """Orbit of a line under the triangle's dihedral group, deduplicated."""
     nx, ny = g.normal()
     dx, dy = g.direction()
@@ -354,7 +357,7 @@ def symmetry_orbit(g: UnitLine, atol: float = 1e-9) -> list[UnitLine]:
     orbit: list[UnitLine] = []
     for mapping in _SYMMETRY_MAPS:
         image = line_through(mapping(p0), mapping(p1))
-        if not any(lines_close(image, h, atol) for h in orbit):
+        if not any(lines_close(image, h, _ORBIT_ATOL) for h in orbit):
             orbit.append(image)
     return sorted(orbit, key=lambda h: (h.theta, h.c))
 

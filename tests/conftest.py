@@ -219,7 +219,7 @@ def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.
 
 
 def remainder_partial_sum_reference(coefficients, t):
-    """``RemainderSeries.partial_sum`` with a fresh accumulator per Horner step."""
+    """``remainder_partial_sum`` with a fresh accumulator per Horner step."""
     arr = np.asarray(t, dtype=float)
     t2 = arr * arr
     acc = np.zeros_like(arr)

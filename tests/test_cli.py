@@ -51,6 +51,17 @@ class TestPointFiles:
         with pytest.raises(ValueError, match="at least 2"):
             parse_points_text("0,0\n")
 
+    @pytest.mark.parametrize("text,item", [
+        ("[1, 2]", 1),                      # not a list of pairs
+        ("[[1]]", 1),                       # too few coordinates
+        ("[[1, 2, 3], [4, 5, 6]]", 1),      # a third coordinate
+        ("[[true, 2], [3, 4]]", 1),         # a bool is not a number
+        ('[[0, 0], [1, "2"]]', 2),          # nor is a string
+    ])
+    def test_rejects_malformed_json_items(self, text, item):
+        with pytest.raises(ValueError, match=rf"item {item}: expected \[x, y\]"):
+            parse_points_text(text)
+
 
 class TestSweepPipeline:
     def test_rows_match_analytic_values(self):
@@ -134,15 +145,11 @@ class TestSolveCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "--points", "/nonexistent.csv", "--p", "2"]) == 2
 
-    def test_exact_flag_restricted(self, triangle_file, capsys):
-        assert main(["solve", "--points", triangle_file, "--p", "3", "--exact"]) == 2
-        assert main(["solve", "--points", triangle_file, "--p", "inf", "--numeric"]) == 2
-
-    def test_numeric_on_p2_allowed(self, triangle_file, capsys):
-        assert main(["solve", "--points", triangle_file, "--p", "2", "--numeric"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["min_value"] == pytest.approx(0.5, abs=1e-8)
-        assert doc["degenerate"]
+    def test_flat_json_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pts.json"
+        path.write_text("[1, 2]")
+        assert main(["solve", "--points", str(path), "--p", "2"]) == 2
+        assert "item 1: expected [x, y]" in capsys.readouterr().err
 
     def test_unknown_config_exits_2(self, triangle_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +181,12 @@ class TestSweepCommand:
         assert located[0] == pytest.approx(4.0 / 3.0, abs=1e-10)
         assert located[1] == pytest.approx(2.0, abs=1e-10)
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--p-min", "1.01", "--p-max", "3", "--steps", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRenderCommand:
     def test_p1_three_lines(self, tmp_path):
@@ -204,6 +217,11 @@ class TestRenderCommand:
         assert main(["render", "--p", "2", "--y", "0.05", "--out", str(a)]) == 0
         assert main(["render", "--p", "2", "--y", "0.05", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig.svg"
+        assert main(["render", "--p", "1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyCommand:
@@ -249,6 +267,6 @@ class TestSerialMap:
             else:
                 expected.append(verification._check_sign_constant(b, ts))
             if b > 1.0:
-                expected.append(verification._check_remainder_bound(b, ts, 64))
+                expected.append(verification._check_remainder_bound(b, ts))
         report = verification.run_verification_suite(b_grid=bs, t_grid=ts)
         assert [c.as_dict() for c in report.checks] == [c.as_dict() for c in expected]

@@ -2,8 +2,10 @@
 
 ``tests/golden/outputs.json`` stores, for a fixed set of inputs, every float
 of the results as ``float.hex()`` together with the evaluation counts and
-flags, plus the sha256 of ``lpline verify --quick``'s stdout and of a
-2000-step ``lpline sweep`` file.  A change that is meant to keep outputs must
+flags, plus the sha256 of the stdout of ``lpline verify --quick``, of the
+full ``lpline verify`` and of ``lpline solve`` on the triangle at six
+exponents, of a 2000-step ``lpline sweep`` file and of the ``lpline render``
+SVG in each regime.  A change that is meant to keep outputs must
 pass these tests unchanged.  A change that alters outputs on purpose rewrites
 the file with
 
@@ -63,6 +65,17 @@ EXACT_CASES = [f"{solver}-{shape}" for solver in EXACT_SOLVERS for shape in SHAP
 
 SWEEP_ARGS = ["--p-min", "1.01", "--p-max", "3", "--steps", "2000", "--include-inf"]
 
+SOLVE_PS = ["1", "4/3", "1.5", "2", "3", "inf"]
+
+# one exponent per regime, with a family member at p = 4/3 and p = 2
+RENDER_CASES = {
+    "p1.2": ["--p", "1.2"],
+    "p4/3-y0.1": ["--p", "4/3", "--y", "0.1"],
+    "p1.6": ["--p", "1.6"],
+    "p2-y0.2": ["--p", "2", "--y", "0.2"],
+    "p5": ["--p", "5"],
+}
+
 
 def _encode(obj):
     """A JSON form of a result in which every float is exact (``float.hex``)."""
@@ -96,12 +109,30 @@ def exact_entry(case: str) -> dict:
     return _encode(EXACT_SOLVERS[solver](SHAPES[shape]()))
 
 
-def verify_quick_sha256() -> str:
+def stdout_sha256(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "--quick"])
+        code = main(argv)
     assert code == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def verify_quick_sha256() -> str:
+    return stdout_sha256(["verify", "--quick"])
+
+
+def solve_sha256(p: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "triangle.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in canonical_triangle()))
+        return stdout_sha256(["solve", "--points", str(path), "--p", p])
+
+
+def render_sha256(case: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "figure.svg"
+        assert main(["render", *RENDER_CASES[case], "--out", str(path)]) == 0
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def sweep_sha256() -> str:
@@ -116,7 +147,10 @@ def record() -> dict:
         "minimize": {case: minimize_entry(case) for case in MINIMIZE_CASES},
         "exact": {case: exact_entry(case) for case in EXACT_CASES},
         "cli": {"verify_quick_stdout_sha256": verify_quick_sha256(),
+                "verify_stdout_sha256": stdout_sha256(["verify"]),
                 "sweep_csv_sha256": sweep_sha256()},
+        "solve_stdout_sha256": {p: solve_sha256(p) for p in SOLVE_PS},
+        "render_svg_sha256": {case: render_sha256(case) for case in RENDER_CASES},
     }
 
 
@@ -139,8 +173,22 @@ def test_verify_quick_stdout(golden):
     assert verify_quick_sha256() == golden["cli"]["verify_quick_stdout_sha256"]
 
 
+def test_verify_stdout(golden):
+    assert stdout_sha256(["verify"]) == golden["cli"]["verify_stdout_sha256"]
+
+
 def test_sweep_file(golden):
     assert sweep_sha256() == golden["cli"]["sweep_csv_sha256"]
+
+
+@pytest.mark.parametrize("p", SOLVE_PS)
+def test_solve_stdout(golden, p):
+    assert solve_sha256(p) == golden["solve_stdout_sha256"][p]
+
+
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_render_svg(golden, case):
+    assert render_sha256(case) == golden["render_svg_sha256"][case]
 
 
 if __name__ == "__main__":

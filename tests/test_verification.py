@@ -8,11 +8,11 @@ from lpline import verification
 from lpline.triangle import family_indicator, regime_indicator, stationarity_gap
 from lpline.verification import (
     CheckResult,
-    RemainderSeries,
     default_b_grid,
     default_t_grid,
     remainder_coefficients,
     remainder_partial_sum,
+    remainder_tail_bound,
     run_verification_suite,
     stationarity_gap_over_t,
 )
@@ -142,22 +142,24 @@ class TestRemainderSeries:
     def test_tail_bound_controls_truncation(self):
         t = np.array([0.3, 0.6, 0.9])
         for b in (2.5, 4.0, 9.0):
-            short = RemainderSeries(b, 32)
-            long = RemainderSeries(b, 96)
-            bound = short.tail_bound(t)
+            bound = remainder_tail_bound(remainder_coefficients(b, 32), t)
             assert bound is not None
-            gap = np.abs(long.partial_sum(t) - short.partial_sum(t))
+            gap = np.abs(remainder_partial_sum(t, b, 96) - remainder_partial_sum(t, b, 32))
             assert np.all(gap <= bound + 1e-15)
 
     @pytest.mark.parametrize("b", [1.1, 2.0, 2.5, 7.3, 20.0])
     def test_in_place_horner_is_bit_identical(self, b):
-        series = RemainderSeries(b, 64)
+        coeffs = remainder_coefficients(b, 64)
         ts = default_t_grid()
-        assert np.array_equal(series.partial_sum(ts),
-                              remainder_partial_sum_reference(series.coefficients, ts))
-        scalar = series.partial_sum(0.37)
+        assert np.array_equal(remainder_partial_sum(ts, b, 64),
+                              remainder_partial_sum_reference(coeffs, ts))
+        scalar = remainder_partial_sum(0.37, b, 64)
         assert isinstance(scalar, float)
-        assert scalar == remainder_partial_sum_reference(series.coefficients, 0.37)
+        assert scalar == remainder_partial_sum_reference(coeffs, 0.37)
+
+    def test_partial_sum_rejects_t_outside_the_unit_disc(self):
+        with pytest.raises(ValueError, match=r"\|t\| < 1"):
+            remainder_partial_sum(np.array([0.5, 1.0]), 2.5, 64)
 
     def test_coefficient_prefix_is_independent_of_n_max(self):
         for b in default_b_grid():
