@@ -58,14 +58,6 @@ class PencilThroughPoint:
 
     center: Point2
 
-    def sample_lines(self, count: int = 32) -> list[UnitLine]:
-        out = []
-        for k in range(count):
-            theta = math.pi * k / count
-            nx, ny = math.cos(theta), math.sin(theta)
-            out.append(UnitLine(theta, nx * self.center.x + ny * self.center.y))
-        return out
-
 
 @dataclass(frozen=True)
 class ParallelStrip:
@@ -73,10 +65,6 @@ class ParallelStrip:
 
     g1: UnitLine
     g2: UnitLine
-
-    def sample_lines(self, count: int = 32) -> list[UnitLine]:
-        lo, hi = self.g1.c, self.g2.c
-        return [UnitLine(self.g1.theta, lo + (hi - lo) * k / (count - 1)) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -87,14 +75,6 @@ class ReducedCurve:
     p: float
     y_range: tuple[float, float]
     curve: str
-
-    def sample_lines(self, count: int = 32) -> list[UnitLine]:
-        # resolved lazily: the curve lives in the triangle module
-        from .triangle import family_member, reduced_to_line
-
-        lo, hi = self.y_range
-        ys = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
-        return [reduced_to_line(family_member(self.p, y)) for y in ys]
 
 
 FamilyDescriptor = Union[PencilThroughPoint, ParallelStrip, ReducedCurve]
@@ -112,6 +92,8 @@ class OptimalSet:
 
 def _check_points(points) -> np.ndarray:
     arr = _as_xy(points)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite coordinate")
     if len(arr) < 2:
         raise DegenerateInputError("degenerate point set")
     spread = np.max(arr, axis=0) - np.min(arr, axis=0)
@@ -120,19 +102,21 @@ def _check_points(points) -> np.ndarray:
     return arr
 
 
-def _dedupe(lines: list[UnitLine], atol: float = 1e-9) -> list[UnitLine]:
-    kept: list[UnitLine] = []
-    for g in lines:
-        if not any(lines_close(g, h, atol) for h in kept):
-            kept.append(g)
-    return sorted(kept, key=lambda g: (g.theta, g.c))
+def _ties(candidates: list[tuple[float, UnitLine]], rtol: float = _TIE_RTOL,
+          atol: float = 1e-9) -> tuple[float, list[UnitLine]]:
+    """The best value and the distinct lines tying with it within ``rtol``
+    (relative to ``1 + |best|``), sorted by (theta, c).
 
-
-def _ties(candidates: list[tuple[float, UnitLine]]) -> tuple[float, list[UnitLine]]:
-    """The best value and the distinct lines tying with it."""
+    Candidates are taken in the given order; a tying line within ``atol`` of
+    one already kept is dropped.
+    """
     best = min(v for v, _ in candidates)
-    tol = _TIE_RTOL * (1.0 + abs(best))
-    return best, _dedupe([g for v, g in candidates if v <= best + tol])
+    tol = rtol * (1.0 + abs(best))
+    kept: list[UnitLine] = []
+    for v, g in candidates:
+        if v <= best + tol and not any(lines_close(g, h, atol) for h in kept):
+            kept.append(g)
+    return best, sorted(kept, key=lambda g: (g.theta, g.c))
 
 
 def solve_p1(points) -> OptimalSet:

@@ -219,6 +219,20 @@ def point_line_distance(p: Point2 | Sequence[float], g: UnitLine) -> float:
     return abs(g.c - (nx * px + ny * py))
 
 
+def _power_sum(r: np.ndarray, p: float) -> np.ndarray:
+    """``sum |r|^p`` along axis 0: the objective at the residuals ``r``."""
+    return np.add.reduce(np.abs(r) ** p, axis=0)
+
+
+def _slope_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
+    """``sum sign(r) |r|^(p-1)`` along axis 0, each term times ``weight`` when
+    one is given: the objective's slope in the residuals, divided by p."""
+    terms = np.sign(r) * np.abs(r) ** (p - 1.0)
+    if weight is not None:
+        terms = terms * weight
+    return np.add.reduce(terms, axis=0)
+
+
 def lp_objective(points, g: UnitLine, p) -> float:
     """``sum d_j^p`` for finite p, ``max d_j`` for p = inf."""
     pn = PNorm.coerce(p)
@@ -227,7 +241,7 @@ def lp_objective(points, g: UnitLine, p) -> float:
         raise ValueError("empty input")
     if pn.is_inf:
         return float(np.max(d))
-    return float(np.sum(d ** pn.value))
+    return float(_power_sum(d, pn.value))
 
 
 def lp_distance(points, g: UnitLine, p) -> float:
@@ -239,15 +253,12 @@ def lp_distance(points, g: UnitLine, p) -> float:
     return value ** (1.0 / pn.value)
 
 
-def sign_partition(points, g: UnitLine, eps_zero: float | None = None) -> SignPartition:
+def sign_partition(points, g: UnitLine) -> SignPartition:
     """Partition point indices by the sign of ``<n, p_j> - c``.
 
-    Offsets within ``eps_zero`` of the line go to ``j_zero``.
+    Offsets within :func:`default_eps_zero` of the line go to ``j_zero``.
     """
-    if eps_zero is None:
-        eps_zero = default_eps_zero(points)
-    if eps_zero < 0.0:
-        raise ValueError("eps_zero must be >= 0")
+    eps_zero = default_eps_zero(points)
     arr = _as_xy(points)
     nx, ny = g.normal()
     resid = arr[:, 0] * nx + arr[:, 1] * ny - g.c

@@ -19,10 +19,11 @@ from .geometry import (
     UnitLine,
     canonicalize,
     first_order_residual,
-    lines_close,
     _as_xy,
+    _power_sum,
+    _slope_sum,
 )
-from .exact import OptimalSet, _check_points, solve_p1, solve_p2, solve_pinf
+from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
 
 __all__ = [
     "SolveReport",
@@ -132,12 +133,6 @@ def _offsets(arr: np.ndarray, theta: float) -> np.ndarray:
     return arr[:, 0] * math.cos(theta) + arr[:, 1] * math.sin(theta)
 
 
-def _offset_slope(a: np.ndarray, c: float, pv: float) -> float:
-    """Derivative of ``sum |c - a_j|^p`` in c, divided by p (monotone in c)."""
-    r = c - a
-    return float(np.add.reduce(np.sign(r) * np.abs(r) ** (pv - 1.0)))
-
-
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     """Optimal signed offset and value for a fixed direction.
 
@@ -157,13 +152,14 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     pv = pn.value
     if pv == 1.0:
         c = float(a[(len(a) - 1) // 2])
-        return c, float(np.sum(np.abs(c - a)))
+        return c, float(_power_sum(c - a, 1.0))
     lo, hi = float(a[0]), float(a[-1])
     if lo == hi:
         return lo, 0.0
-    f = lambda c: float(np.add.reduce(np.abs(c - a) ** pv))
+    f = lambda c: float(_power_sum(c - a, pv))
     c, value = golden_section(f, lo, hi, tol=1e-9 * (1.0 + hi - lo))
-    slope = lambda c: _offset_slope(a, c, pv)
+    # the slope in c over p, monotone in c
+    slope = lambda c: float(_slope_sum(c - a, pv))
     width = 1e-6 * (hi - lo)
     b_lo, b_hi = max(c - width, lo), min(c + width, hi)
     if not (slope(b_lo) < 0.0 < slope(b_hi)):
@@ -188,7 +184,7 @@ def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
 
     def fvec(c):
         counter.n += len(thetas)
-        return np.sum(np.abs(c[None, :] - a) ** pv, axis=0)
+        return _power_sum(c[None, :] - a, pv)
 
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
@@ -254,7 +250,7 @@ def minimize(points, p) -> SolveReport:
 
         def f(c):
             counter.n += 1
-            return float(np.add.reduce(np.abs(c - a) ** pv))
+            return float(_power_sum(c - a, pv))
 
         _, value = golden_section(f, lo, hi, tol=_C_TOL * (1.0 + hi - lo),
                                   max_iters=2 * _REFINE_ITERS)
@@ -277,7 +273,7 @@ def minimize(points, p) -> SolveReport:
             counter.n += 1
             r = rel @ np.array([math.cos(alpha), math.sin(alpha)])
             dn = rel @ np.array([-math.sin(alpha), math.cos(alpha)])
-            return pv * float(np.add.reduce(np.sign(r) * np.abs(r) ** (pv - 1.0) * dn))
+            return pv * float(_slope_sum(r, pv, dn))
 
         t_lo, t_hi = theta0 - 1e-4, theta0 + 1e-4
         if not (slope(t_lo) < 0.0 < slope(t_hi)):
@@ -285,7 +281,7 @@ def minimize(points, p) -> SolveReport:
         alpha = bisect_sign(slope, t_lo, t_hi, 70)
         n = np.array([math.cos(alpha), math.sin(alpha)])
         c = float(n @ q)
-        value = float(np.sum(np.abs(arr @ n - c) ** pv))
+        value = float(_power_sum(arr @ n - c, pv))
         return value, UnitLine(alpha, c)
 
     step = math.pi / _THETA_SAMPLES
@@ -310,6 +306,9 @@ def minimize(points, p) -> SolveReport:
             c_th, v_th = best_offset_for_direction(arr, th, pn)
             if v_th < value:
                 theta_star, c_star, value = th, c_th, v_th
+        if theta_star is None:
+            raise ValueError(f"objective overflows float at p = {pv!r}: "
+                             "no refined direction has a finite value")
         line = UnitLine(theta_star, c_star)
         near = np.flatnonzero(
             np.abs(arr @ np.array(line.normal()) - c_star) <= 1e-6 * scale)
@@ -329,19 +328,13 @@ def minimize(points, p) -> SolveReport:
                 norm = math.hypot(dx, dy)
                 n = np.array([-dy / norm, dx / norm])
                 c_pair = float(n @ span[i])
-                v_pair = float(np.sum(np.abs(arr @ n - c_pair) ** pv))
+                v_pair = float(_power_sum(arr @ n - c_pair, pv))
                 if v_pair < value:
                     value = v_pair
                     line = UnitLine(math.atan2(n[1], n[0]), c_pair)
         refined.append((value, canonicalize(line)))
 
-    best = min(v for v, _ in refined)
-    tol = _VALUE_TOL * (1.0 + abs(best))
-    lines: list[UnitLine] = []
-    for v, g in sorted(refined, key=lambda t: t[0]):
-        if v <= best + tol and not any(lines_close(g, h, 1e-7) for h in lines):
-            lines.append(g)
-    lines.sort(key=lambda g: (g.theta, g.c))
+    best, lines = _ties(sorted(refined, key=lambda t: t[0]), _VALUE_TOL, 1e-7)
 
     # family detection: how many well-separated scan arcs already tie the optimum
     arcs = np.minimum((thetas / MIN_THETA_SEPARATION).astype(int), 35)
@@ -385,10 +378,7 @@ def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
     arr = _as_xy(points)
     a = _offsets(arr, g.theta)
     resid = g.c - a
-    d = np.abs(resid)
-    sign = np.sign(resid)
-    dpow = d ** (pv - 1.0)
     da_dtheta = arr[:, 0] * (-math.sin(g.theta)) + arr[:, 1] * math.cos(g.theta)
-    df_dc = pv * float(np.add.reduce(sign * dpow))
-    df_dtheta = pv * float(np.add.reduce(sign * dpow * (-da_dtheta)))
+    df_dc = pv * float(_slope_sum(resid, pv))
+    df_dtheta = pv * float(_slope_sum(resid, pv, -da_dtheta))
     return df_dtheta, df_dc

@@ -1,6 +1,6 @@
-"""Shared test helpers: random and fixed point sets, isometries, the
-brute-force grid oracles, and the reference search loops that the solver's early stops must
-reproduce exactly."""
+"""Shared test helpers: random and fixed point sets, isometries, family
+members, the brute-force grid oracles, and the reference search loops that
+the solver's early stops must reproduce exactly."""
 
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from lpline import (
     line_through,
     lp_objective,
 )
+from lpline.exact import ParallelStrip, PencilThroughPoint, ReducedCurve
 from lpline.geometry import _as_xy
 from lpline.numeric import _INV_PHI
+from lpline.triangle import family_member, reduced_to_line
 
 
 def random_points(rng: np.random.Generator, count: int | None = None,
@@ -168,11 +170,30 @@ def assert_same_line_sets(got, expected, tol: float = 1e-9):
         assert nearest <= tol, f"line {g} misses the expected set by {nearest:g}"
 
 
+def family_lines(fam, count: int = 32) -> list[UnitLine]:
+    """``count`` evenly spaced members of a family descriptor: lines through
+    the pencil's center at angles k*pi/count, the strip's offsets from g1 to
+    g2, or the reduced curve over its ``y_range`` (both ends included)."""
+    if isinstance(fam, PencilThroughPoint):
+        thetas = [math.pi * k / count for k in range(count)]
+        return [UnitLine(t, math.cos(t) * fam.center.x + math.sin(t) * fam.center.y)
+                for t in thetas]
+    fractions = [k / (count - 1) for k in range(count)]
+    if isinstance(fam, ParallelStrip):
+        lo, hi = fam.g1.c, fam.g2.c
+        return [UnitLine(fam.g1.theta, lo + (hi - lo) * f) for f in fractions]
+    if isinstance(fam, ReducedCurve):
+        lo, hi = fam.y_range
+        return [reduced_to_line(family_member(fam.p, lo + (hi - lo) * f))
+                for f in fractions]
+    raise TypeError(f"unknown family {fam!r}")
+
+
 def attained_value(points, opt, p) -> float:
     """Worst objective value over the listed lines and sampled family members."""
     values = [lp_objective(points, g, p) for g in opt.lines]
     for fam in opt.families:
-        values.extend(lp_objective(points, g, p) for g in fam.sample_lines())
+        values.extend(lp_objective(points, g, p) for g in family_lines(fam))
     return max(values) if values else opt.min_value
 
 

@@ -14,7 +14,7 @@ from lpline.fileio import (
     triangle_sweep,
     write_sweep_csv,
 )
-from lpline.triangle import triangle_min_value
+from lpline.triangle import canonical_triangle, triangle_min_value
 
 SQRT3 = math.sqrt(3.0)
 
@@ -162,6 +162,13 @@ class TestSolveCommand:
         path.write_text("1,1\n1,1\n")
         assert main(["solve", "--points", str(path), "--p", "2"]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_objective_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("".join(f"{6.4 * x!r},{6.4 * y!r}\n" for x, y in canonical_triangle()))
+        assert main(["solve", "--points", str(path), "--p", "672.69"]) == 3
+        assert "overflows" in capsys.readouterr().err
 
 
 class TestSweepCommand:

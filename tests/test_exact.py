@@ -4,10 +4,8 @@ import pytest
 
 from lpline import (
     DegenerateInputError,
-    ParallelStrip,
     PencilThroughPoint,
     Point2,
-    UnitLine,
     line_through,
     lp_objective,
     point_line_distance,
@@ -21,6 +19,7 @@ from conftest import (
     assert_same_line_sets,
     attained_value,
     contains_count,
+    family_lines,
     random_points,
     random_isometry,
     refined_oracle,
@@ -72,16 +71,6 @@ class TestSolveP1:
         assert opt.min_value < 3.0 - 1e-6
         assert opt.families == ()
 
-    def test_strip_descriptor_sampling(self):
-        g1 = UnitLine(math.pi / 2, 0.0)
-        g2 = UnitLine(math.pi / 2, 1.0)
-        strip = ParallelStrip(g1, g2)
-        members = strip.sample_lines(11)
-        assert len(members) == 11
-        assert members[0].c == pytest.approx(0.0)
-        assert members[-1].c == pytest.approx(1.0)
-        assert all(m.theta == g1.theta for m in members)
-
     def test_collinear_points_collapse_to_one_line(self):
         pts = [Point2(t, 2.0 * t - 0.5) for t in (-1.0, 0.0, 1.0, 2.5)]
         opt = solve_p1(pts)
@@ -105,7 +94,7 @@ class TestSolveP2:
         assert isinstance(pencil, PencilThroughPoint)
         assert pencil.center.x == pytest.approx(0.0, abs=1e-12)
         assert pencil.center.y == pytest.approx(SQRT3 / 6, abs=1e-12)
-        for g in pencil.sample_lines(32):
+        for g in family_lines(pencil, 32):
             assert lp_objective(TRI, g, 2.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_three_point_example(self):

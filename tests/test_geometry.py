@@ -11,6 +11,7 @@ from lpline import (
     SignPartition,
     UnitLine,
     canonicalize,
+    default_eps_zero,
     first_order_residual,
     line_through,
     lines_close,
@@ -126,20 +127,26 @@ class TestSignPartition:
         assert set(part.j_plus) | set(part.j_minus) == {1, 2}
 
     def test_huge_band_swallows_all(self):
-        part = sign_partition(TRI, UnitLine(0.1, 0.0), eps_zero=100.0)
+        # every offset of these tiny points is below the 1e-9 membership floor
+        tiny = [(1e-10 * x, 1e-10 * y) for x, y in TRI]
+        part = sign_partition(tiny, UnitLine(0.1, 0.0))
         assert part.j_zero == (0, 1, 2)
         assert part.j_plus == () and part.j_minus == ()
 
     def test_matches_per_point_loop(self, rng):
         for _ in range(50):
             pts = random_points(rng, count=int(rng.integers(1, 12)))
-            g = UnitLine(float(rng.uniform(0.0, math.pi)), float(rng.uniform(-1.0, 1.0)))
-            eps = float(rng.choice([0.0, 1e-9, 0.2]))
+            theta = float(rng.uniform(0.0, math.pi))
+            # half the lines pass through the first point, which then lands in j_zero
+            q0 = pts[0]
+            on_q0 = q0.x * math.cos(theta) + q0.y * math.sin(theta)
+            g = UnitLine(theta, on_q0 if rng.random() < 0.5 else float(rng.uniform(-1.0, 1.0)))
+            eps = default_eps_zero(pts)
             plus, zero, minus = [], [], []
             for j, q in enumerate(pts):
                 r = q.x * math.cos(g.theta) + q.y * math.sin(g.theta) - g.c
                 (zero if abs(r) <= eps else plus if r > 0.0 else minus).append(j)
-            part = sign_partition(pts, g, eps)
+            part = sign_partition(pts, g)
             assert part == SignPartition(tuple(plus), tuple(zero), tuple(minus))
             assert all(type(j) is int for j in part.j_plus + part.j_zero + part.j_minus)
 

@@ -2,12 +2,15 @@
 
 ``tests/golden/outputs.json`` stores, for a fixed set of inputs, every float
 of the results as ``float.hex()`` together with the evaluation counts and
-flags, plus the sha256 of the stdout of ``lpline verify --quick``, of the
-full ``lpline verify`` and of ``lpline solve`` on the triangle at six
-exponents, of a 2000-step ``lpline sweep`` file and of the ``lpline render``
-SVG in each regime.  A change that is meant to keep outputs must
-pass these tests unchanged.  A change that alters outputs on purpose rewrites
-the file with
+flags: ``minimize`` (including its pair and through-point snaps, a scan
+whose lanes overflow and a far-translated input), the closed forms, and the
+objective's building blocks ``best_offset_for_direction``,
+``objective_gradient`` and ``lp_objective``.  It also stores the sha256 of
+the stdout of ``lpline verify --quick``, of the full ``lpline verify`` and
+of ``lpline solve`` on the triangle at six exponents, of a 2000-step
+``lpline sweep`` file and of the ``lpline render`` SVG in each regime.  A
+change that is meant to keep outputs must pass these tests unchanged.  A
+change that alters outputs on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,7 +30,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpline import Point2, minimize, solve_p1, solve_p2, solve_pinf
+from lpline import (
+    Point2,
+    UnitLine,
+    best_offset_for_direction,
+    lp_objective,
+    minimize,
+    objective_gradient,
+    solve_p1,
+    solve_p2,
+    solve_pinf,
+)
 from lpline.cli import main
 from lpline.triangle import canonical_triangle
 
@@ -48,6 +61,14 @@ SHAPES = {
     "band-outlier": band_with_outlier,
 }
 
+# minimize-only shapes: a scaled copy whose scan lanes overflow at large p,
+# and a far-translated copy
+MINIMIZE_SHAPES = {
+    **SHAPES,
+    "triangle-x5": lambda: 5.0 * np.array([tuple(q) for q in canonical_triangle()]),
+    "triangle-shift1e6": lambda: np.array([tuple(q) for q in canonical_triangle()]) + 1e6,
+}
+
 MINIMIZE_CASES = {
     "triangle-p1.1": ("triangle", 1.1),
     "triangle-p4/3": ("triangle", "4/3"),
@@ -58,6 +79,25 @@ MINIMIZE_CASES = {
     "cloud-list-p1.2": ("cloud-list", 1.2),
     "cloud-ndarray-p1.2": ("cloud-ndarray", 1.2),
     "band-outlier-p1.2": ("band-outlier", 1.2),
+    # the pair snap wins
+    "triangle-p1.01": ("triangle", 1.01),
+    # the through-point snap
+    "cloud-ndarray-p1.05": ("cloud-ndarray", 1.05),
+    # scan lanes overflow to inf
+    "triangle-x5-p672.69": ("triangle-x5", 672.69),
+    "triangle-shift1e6-p1.5": ("triangle-shift1e6", 1.5),
+}
+
+# the objective's building blocks on the cloud, at a fixed direction / line
+CLOUD_THETA = 0.7
+CLOUD_LINE = UnitLine(0.7, 0.1)
+OBJECTIVE_CASES = {
+    "best_offset-p1": lambda: best_offset_for_direction(_cloud(), CLOUD_THETA, 1.0),
+    "best_offset-p2.5": lambda: best_offset_for_direction(_cloud(), CLOUD_THETA, 2.5),
+    "objective_gradient-p1.2": lambda: objective_gradient(_cloud(), CLOUD_LINE, 1.2),
+    "objective_gradient-p2.5": lambda: objective_gradient(_cloud(), CLOUD_LINE, 2.5),
+    "lp_objective-p1.2": lambda: lp_objective(_cloud(), CLOUD_LINE, 1.2),
+    "lp_objective-p2.5": lambda: lp_objective(_cloud(), CLOUD_LINE, 2.5),
 }
 
 EXACT_SOLVERS = {"solve_p1": solve_p1, "solve_p2": solve_p2, "solve_pinf": solve_pinf}
@@ -93,7 +133,7 @@ def _encode(obj):
 
 def minimize_entry(case: str) -> dict:
     shape, p = MINIMIZE_CASES[case]
-    report = minimize(SHAPES[shape](), p)
+    report = minimize(MINIMIZE_SHAPES[shape](), p)
     return {
         "min_value": _encode(report.optimal.min_value),
         "lines": _encode(report.optimal.lines),
@@ -107,6 +147,10 @@ def minimize_entry(case: str) -> dict:
 def exact_entry(case: str) -> dict:
     solver, shape = case.split("-", 1)
     return _encode(EXACT_SOLVERS[solver](SHAPES[shape]()))
+
+
+def objective_entry(case: str):
+    return _encode(OBJECTIVE_CASES[case]())
 
 
 def stdout_sha256(argv: list[str]) -> str:
@@ -146,6 +190,7 @@ def record() -> dict:
     return {
         "minimize": {case: minimize_entry(case) for case in MINIMIZE_CASES},
         "exact": {case: exact_entry(case) for case in EXACT_CASES},
+        "objective": {case: objective_entry(case) for case in OBJECTIVE_CASES},
         "cli": {"verify_quick_stdout_sha256": verify_quick_sha256(),
                 "verify_stdout_sha256": stdout_sha256(["verify"]),
                 "sweep_csv_sha256": sweep_sha256()},
@@ -167,6 +212,11 @@ def test_minimize(golden, case):
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_exact(golden, case):
     assert exact_entry(case) == golden["exact"][case]
+
+
+@pytest.mark.parametrize("case", list(OBJECTIVE_CASES))
+def test_objective(golden, case):
+    assert objective_entry(case) == golden["objective"][case]
 
 
 def test_verify_quick_stdout(golden):

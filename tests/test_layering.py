@@ -1,4 +1,5 @@
-"""Imports inside the package point one way: from a module to lower layers only."""
+"""Imports inside the package point one way, from a module to lower layers
+only, and the objective's power sums are reduced in one place."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,6 @@ import lpline
 
 LAYERS = ["_parallel", "geometry", "exact", "numeric", "triangle",
           "verification", "svgfig", "fileio", "cli"]
-# ReducedCurve.sample_lines resolves its curve lazily, inside the function
-ALLOWED_UPWARD = {("exact", "triangle")}
 PACKAGE = Path(lpline.__file__).parent
 
 
@@ -35,18 +34,35 @@ def test_imports_point_down():
         if name == "__init__":
             continue
         for target in _relative_imports(path):
-            if (name, target) in ALLOWED_UPWARD:
-                continue
             if name not in LAYERS or LAYERS.index(target) >= LAYERS.index(name):
                 upward.append(f"{name} -> {target}")
     assert not upward
 
 
-def test_upward_exception_is_function_local():
-    tree = ast.parse((PACKAGE / "exact.py").read_text())
-    top_level = [node.module for node in tree.body
-                 if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert "triangle" not in top_level
+def _functions_with_variable_powers(path: Path) -> set[str]:
+    """Top-level functions (or ``<module>``) holding a ``**`` whose exponent
+    is not a literal number."""
+    def is_literal(node) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant)
+
+    found = set()
+    tree = ast.parse(path.read_text())
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                exponent = node.right if isinstance(node, ast.BinOp) else node.value
+                if not is_literal(exponent):
+                    found.add(owner)
+    return found
+
+
+def test_power_sums_live_in_geometry():
+    assert _functions_with_variable_powers(PACKAGE / "numeric.py") == set()
+    assert _functions_with_variable_powers(PACKAGE / "geometry.py") <= {
+        "_power_sum", "_slope_sum", "lp_distance", "first_order_residual"}
 
 
 def test_no_environment_reads_or_thread_pools():

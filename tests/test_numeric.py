@@ -133,6 +133,14 @@ class TestMinimize:
         with pytest.raises(DegenerateInputError):
             minimize([Point2(1.0, 2.0), Point2(1.0, 2.0)], 2.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_value_error(self):
+        # every |r|^p of the scaled triangle overflows at this p, so no
+        # refined direction has a finite value
+        pts = 6.4 * np.array([tuple(q) for q in TRI])
+        with pytest.raises(ValueError, match="overflows"):
+            minimize(pts, 672.69)
+
     def test_oracle_agreement(self, rng):
         for _ in range(12):
             pts = random_points(rng)
@@ -214,6 +222,13 @@ class TestSolveDispatch:
         for p in (1, 1.5, 2, "inf"):
             with pytest.raises(DegenerateInputError):
                 solve([Point2(1.0, 1.0), Point2(1.0, 1.0)], p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, "inf"])
+    def test_non_finite_ndarray_raises(self, p, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            solve(pts, p)
 
 
 class TestBisectSign:

@@ -6,7 +6,7 @@ import pytest
 
 import lpline
 from lpline.cli import main
-from lpline.geometry import UnitLine, first_order_residual
+from lpline.geometry import UnitLine, first_order_residual, sign_partition
 from lpline.triangle import ReducedPoint, locate_transitions, symmetry_orbit
 from lpline.verification import run_verification_suite, triangle_cross_checks
 
@@ -18,6 +18,7 @@ from lpline.verification import run_verification_suite, triangle_cross_checks
     (run_verification_suite, ["b_grid", "t_grid"]),
     (triangle_cross_checks, ["quick"]),
     (first_order_residual, ["points", "g", "p"]),
+    (sign_partition, ["points", "g"]),
 ])
 def test_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -27,6 +28,8 @@ def test_retired_names_are_gone():
     assert not hasattr(lpline, "RemainderSeries")
     assert "RemainderSeries" not in lpline.__all__
     assert not hasattr(UnitLine, "foot")
+    for family in (lpline.PencilThroughPoint, lpline.ParallelStrip, lpline.ReducedCurve):
+        assert not hasattr(family, "sample_lines")
 
 
 @pytest.mark.parametrize("flag", ["--exact", "--numeric"])

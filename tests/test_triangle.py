@@ -28,7 +28,7 @@ from lpline import (
 from lpline.exact import PencilThroughPoint, ReducedCurve
 from lpline.numeric import golden_section
 
-from conftest import line_param_distance
+from conftest import family_lines, line_param_distance
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()
@@ -372,7 +372,7 @@ class TestTriangleOptimalSet:
         assert opt.degenerate
         curve = opt.families[0]
         assert isinstance(curve, ReducedCurve)
-        for g in curve.sample_lines(32):
+        for g in family_lines(curve, 32):
             assert lp_objective(TRI, g, 4.0 / 3.0) == pytest.approx(
                 opt.min_value, rel=1e-12)
 
