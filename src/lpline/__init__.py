@@ -18,9 +18,7 @@ from .geometry import (
     first_order_residual,
     line_through,
     lines_close,
-    lp_distance,
     lp_objective,
-    point_line_distance,
     sign_partition,
 )
 from .exact import (
@@ -63,7 +61,6 @@ from .triangle import (
 )
 from .verification import (
     SuiteReport,
-    remainder_partial_sum,
     run_verification_suite,
     stationarity_gap_over_t,
 )
@@ -74,7 +71,7 @@ __all__ = [
     "PNorm", "Point2", "SignPartition", "UnitLine",
     "canonicalize", "default_eps_zero", "distance_vector",
     "first_order_residual", "line_through", "lines_close",
-    "lp_distance", "lp_objective", "point_line_distance", "sign_partition",
+    "lp_objective", "sign_partition",
     "DegenerateInputError", "FamilyDescriptor", "OptimalSet",
     "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
     "solve_p1", "solve_p2", "solve_pinf",
@@ -87,6 +84,6 @@ __all__ = [
     "side_parallel_offset", "side_parallel_value", "stationarity_gap",
     "symmetry_orbit", "triangle_min_value", "triangle_optimal_set",
     "SuiteReport",
-    "remainder_partial_sum", "run_verification_suite", "stationarity_gap_over_t",
+    "run_verification_suite", "stationarity_gap_over_t",
     "__version__",
 ]

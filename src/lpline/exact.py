@@ -23,11 +23,12 @@ from .geometry import (
     Point2,
     UnitLine,
     canonicalize,
-    default_eps_zero,
     line_through,
     lines_close,
-    lp_objective,
     _as_xy,
+    _eps_zero,
+    _offsets,
+    _power_sum,
 )
 
 __all__ = [
@@ -92,8 +93,6 @@ class OptimalSet:
 
 def _check_points(points) -> np.ndarray:
     arr = _as_xy(points)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite coordinate")
     if len(arr) < 2:
         raise DegenerateInputError("degenerate point set")
     spread = np.max(arr, axis=0) - np.min(arr, axis=0)
@@ -122,14 +121,14 @@ def _ties(candidates: list[tuple[float, UnitLine]], rtol: float = _TIE_RTOL,
 def solve_p1(points) -> OptimalSet:
     """Minimize the sum of distances: enumerate all lines through point pairs."""
     arr = _check_points(points)
-    eps = default_eps_zero(arr)
+    eps = _eps_zero(arr)
 
     candidates: list[tuple[float, UnitLine]] = []
     for i, j in combinations(range(len(arr)), 2):
         if np.array_equal(arr[i], arr[j]):
             continue
         g = line_through(arr[i], arr[j])
-        candidates.append((lp_objective(arr, g, 1.0), g))
+        candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
 
     best, lines = _ties(candidates)
 
@@ -139,8 +138,7 @@ def solve_p1(points) -> OptimalSet:
         if min(dt, abs(dt - math.pi)) > 1e-9:
             continue
         c1, c2 = g1.c, (g2.c if dt < 1.0 else -g2.c)
-        nx, ny = g1.normal()
-        offsets = arr[:, 0] * nx + arr[:, 1] * ny
+        offsets = _offsets(arr, *g1.normal())
         lo, hi = min(c1, c2), max(c1, c2)
         inside = np.any((offsets > lo + eps) & (offsets < hi - eps))
         if not inside:
@@ -202,7 +200,7 @@ def solve_pinf(points) -> OptimalSet:
         if norm == 0.0:
             continue
         nx, ny = -dy / norm, dx / norm
-        offsets = arr[:, 0] * nx + arr[:, 1] * ny
+        offsets = _offsets(arr, nx, ny)
         lo, hi = float(np.min(offsets)), float(np.max(offsets))
         g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
         candidates.append((0.5 * (hi - lo), g))

@@ -32,7 +32,6 @@ __all__ = [
     "triangle_sweep",
     "locate_transitions",
     "write_sweep_csv",
-    "read_sweep_csv",
 ]
 
 SWEEP_HEADER = "p,phase,min_value,x0,family,line_count"
@@ -89,23 +88,15 @@ class SweepRow:
         return f"{p_text},{self.phase},{fmt(self.min_value)},{x0_text},{fam_text},{self.line_count}"
 
 
-_PHASE_TEXT = {
-    TrianglePhase.PARALLEL: "parallel",
-    TrianglePhase.BISECTOR: "bisector",
-    TrianglePhase.FAMILY_P2: "family-p2",
-    TrianglePhase.FAMILY_P43: "family-p43",
-}
-
-
 def _row_for(p: PNorm) -> SweepRow:
     phase = classify_phase(p)
     value = triangle_min_value(p)
     if p.is_inf:
-        return SweepRow(math.inf, _PHASE_TEXT[phase], value, None, None, 3)
+        return SweepRow(math.inf, phase.value, value, None, None, 3)
     x0 = None if p.value <= 1.0 else side_parallel_offset(p)
     if phase in (TrianglePhase.FAMILY_P2, TrianglePhase.FAMILY_P43):
-        return SweepRow(p.value, _PHASE_TEXT[phase], value, x0, _PHASE_TEXT[phase], "family")
-    return SweepRow(p.value, _PHASE_TEXT[phase], value, x0, None, 3)
+        return SweepRow(p.value, phase.value, value, x0, phase.value, "family")
+    return SweepRow(p.value, phase.value, value, x0, None, 3)
 
 
 def triangle_sweep(p_min: float, p_max: float, steps: int,
@@ -138,21 +129,3 @@ def write_sweep_csv(path: str | Path, rows: list[SweepRow],
         for p in transitions:
             lines.append(f"# transition p = {fmt(p)} (sign change of the regime indicator)")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    rows = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line == SWEEP_HEADER:
-            continue
-        p_text, phase, value, x0, family, count = line.split(",")
-        rows.append(SweepRow(
-            p=math.inf if p_text == "inf" else float(p_text),
-            phase=phase,
-            min_value=float(value),
-            x0=None if x0 == "" else float(x0),
-            family=family or None,
-            line_count=count if count == "family" else int(count),
-        ))
-    return rows

@@ -25,9 +25,7 @@ __all__ = [
     "lines_close",
     "default_eps_zero",
     "distance_vector",
-    "point_line_distance",
     "lp_objective",
-    "lp_distance",
     "sign_partition",
     "first_order_residual",
 ]
@@ -185,8 +183,9 @@ def lines_close(g1: UnitLine, g2: UnitLine, atol: float = 1e-9) -> bool:
 
 
 def _as_xy(points) -> np.ndarray:
-    """The points as an (m, 2) float array; an ndarray passes through uncopied
-    when it is already a C-contiguous float array."""
+    """The points (``Point2`` objects, coordinate pairs or an ndarray) as an
+    (m, 2) array of finite floats; an ndarray passes through uncopied when it
+    is already a C-contiguous float array."""
     if isinstance(points, np.ndarray):
         arr = np.ascontiguousarray(points, dtype=float)
     else:
@@ -196,27 +195,29 @@ def _as_xy(points) -> np.ndarray:
         arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("points must be pairs of coordinates")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite coordinate")
     return arr
 
 
-def default_eps_zero(points) -> float:
-    """Scale-aware membership tolerance: 1e-9 * (1 + max coordinate magnitude)."""
-    arr = _as_xy(points)
+def _offsets(arr: np.ndarray, nx: float, ny: float) -> np.ndarray:
+    """``<(nx, ny), p_j>`` for each row of ``arr``."""
+    return arr[:, 0] * nx + arr[:, 1] * ny
+
+
+def _eps_zero(arr: np.ndarray) -> float:
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     return 1e-9 * (1.0 + scale)
 
 
+def default_eps_zero(points) -> float:
+    """Scale-aware membership tolerance: 1e-9 * (1 + max coordinate magnitude)."""
+    return _eps_zero(_as_xy(points))
+
+
 def distance_vector(points, g: UnitLine) -> np.ndarray:
     """Distances ``|c - <n, p_j>|`` from each point to the line, in input order."""
-    arr = _as_xy(points)
-    nx, ny = g.normal()
-    return np.abs(g.c - (arr[:, 0] * nx + arr[:, 1] * ny))
-
-
-def point_line_distance(p: Point2 | Sequence[float], g: UnitLine) -> float:
-    px, py = p
-    nx, ny = g.normal()
-    return abs(g.c - (nx * px + ny * py))
+    return np.abs(g.c - _offsets(_as_xy(points), *g.normal()))
 
 
 def _power_sum(r: np.ndarray, p: float) -> np.ndarray:
@@ -244,13 +245,16 @@ def lp_objective(points, g: UnitLine, p) -> float:
     return float(_power_sum(d, pn.value))
 
 
-def lp_distance(points, g: UnitLine, p) -> float:
-    """The L^p norm of the distance vector, ``(sum d_j^p)^(1/p)``."""
-    pn = PNorm.coerce(p)
-    value = lp_objective(points, g, pn)
-    if pn.is_inf:
-        return value
-    return value ** (1.0 / pn.value)
+def _partition(arr: np.ndarray, g: UnitLine) -> tuple[SignPartition, np.ndarray]:
+    """The sign partition of the rows of ``arr`` and their distances to ``g``
+    (``|<n, p_j> - c|``, which equals ``|c - <n, p_j>|`` bit for bit)."""
+    resid = _offsets(arr, *g.normal()) - g.c
+    d = np.abs(resid)
+    on = d <= _eps_zero(arr)
+    above = resid > 0.0
+    plus, zero, minus = (tuple(np.flatnonzero(mask).tolist())
+                         for mask in (~on & above, on, ~on & ~above))
+    return SignPartition(plus, zero, minus), d
 
 
 def sign_partition(points, g: UnitLine) -> SignPartition:
@@ -258,15 +262,7 @@ def sign_partition(points, g: UnitLine) -> SignPartition:
 
     Offsets within :func:`default_eps_zero` of the line go to ``j_zero``.
     """
-    eps_zero = default_eps_zero(points)
-    arr = _as_xy(points)
-    nx, ny = g.normal()
-    resid = arr[:, 0] * nx + arr[:, 1] * ny - g.c
-    on = np.abs(resid) <= eps_zero
-    above = resid > 0.0
-    plus, zero, minus = (tuple(np.flatnonzero(mask).tolist())
-                         for mask in (~on & above, on, ~on & ~above))
-    return SignPartition(plus, zero, minus)
+    return _partition(_as_xy(points), g)[0]
 
 
 def first_order_residual(points, g: UnitLine, p) -> float:
@@ -278,9 +274,7 @@ def first_order_residual(points, g: UnitLine, p) -> float:
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("first-order residual requires finite p > 1")
-    arr = _as_xy(points)
-    part = sign_partition(arr, g)
-    d = distance_vector(arr, g)
+    part, d = _partition(_as_xy(points), g)
     q = pn.value - 1.0
     lo = sum(d[j] ** q for j in part.j_minus)
     hi = sum(d[j] ** q for j in part.j_plus)

@@ -19,7 +19,9 @@ from .geometry import (
     UnitLine,
     canonicalize,
     first_order_residual,
+    lp_objective,
     _as_xy,
+    _offsets,
     _power_sum,
     _slope_sum,
 )
@@ -55,10 +57,11 @@ class SolveReport:
     """Solver result plus diagnostics.
 
     ``stationarity_residual`` is the worst first-order offset defect over the
-    returned lines.  It vanishes (within ~1e-7 of the value scale) at regular
-    optima; when p is very close to 1 and the optimum continues into a line
-    through two points, the balancing terms sit below float resolution and the
-    reported defect stays O(1) even though the line is exact.
+    returned lines, in the scaled copy that :func:`minimize` solves when the
+    input's sums overflow.  It vanishes (within ~1e-7 of the value scale) at
+    regular optima; when p is very close to 1 and the optimum continues into a
+    line through two points, the balancing terms sit below float resolution
+    and the reported defect stays O(1) even though the line is exact.
 
     ``evaluations`` counts the objective evaluations of the theta scan (one
     per scan lane and step), those of the inner offset searches in the theta
@@ -129,10 +132,6 @@ def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> floa
     return 0.5 * (lo + hi)
 
 
-def _offsets(arr: np.ndarray, theta: float) -> np.ndarray:
-    return arr[:, 0] * math.cos(theta) + arr[:, 1] * math.sin(theta)
-
-
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     """Optimal signed offset and value for a fixed direction.
 
@@ -148,7 +147,7 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     arr = _as_xy(points)
     if len(arr) == 0:
         raise ValueError("empty input")
-    a = np.sort(_offsets(arr, theta))
+    a = np.sort(_offsets(arr, math.cos(theta), math.sin(theta)))
     pv = pn.value
     if pv == 1.0:
         c = float(a[(len(a) - 1) // 2])
@@ -217,13 +216,38 @@ def minimize(points, p) -> SolveReport:
     each by golden-section over theta (inner offset solved per evaluation), and
     returns all distinct refined minimizers tying with the best value.  A wide
     spread of near-optimal directions marks a one-parameter optimal family.
+
+    If every refined direction overflows, the search reruns on the points
+    times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is exact;
+    lines map back as (theta, 2^k c) and ``min_value`` is taken on the input.
     """
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("use exact solver")
     arr = _check_points(points)
-    pv = pn.value
     counter = _Counter()
+    # sums far from the optimum may overflow to inf (or to nan, for a slope
+    # with terms of both signs); they then lose every comparison, as they should
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = _search(arr, pn, counter)
+        if found is None:
+            k = math.frexp(float(np.max(np.ptp(arr, axis=0))))[1] - 1
+            found = _search(np.ldexp(arr, -k), pn, counter) if k > 0 else None
+            if found is not None:
+                lines = [UnitLine(g.theta, math.ldexp(g.c, k)) for g in found[1]]
+                found = (min(lp_objective(arr, g, pn) for g in lines), lines, *found[2:])
+    if found is None or math.isinf(found[0]):
+        raise ValueError(f"objective overflows float at p = {pn.value!r}: "
+                         "no refined direction has a finite value")
+    best, lines, degenerate, residual = found
+    return SolveReport(OptimalSet(best, tuple(lines), (), degenerate=degenerate),
+                       residual, counter.n)
+
+
+def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
+    """:func:`minimize` on ``arr``: (best, lines, degenerate, stationarity
+    residual), or None if every refined direction of a start overflows."""
+    pv = pn.value
 
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
     _, scan_values = _scan_values(arr, thetas, pv, _REFINE_ITERS, counter)
@@ -243,7 +267,7 @@ def minimize(points, p) -> SolveReport:
             break
 
     def profile(theta: float) -> float:
-        a = np.sort(_offsets(arr, theta))
+        a = np.sort(_offsets(arr, math.cos(theta), math.sin(theta)))
         lo, hi = float(a[0]), float(a[-1])
         if lo == hi:
             return 0.0
@@ -307,8 +331,7 @@ def minimize(points, p) -> SolveReport:
             if v_th < value:
                 theta_star, c_star, value = th, c_th, v_th
         if theta_star is None:
-            raise ValueError(f"objective overflows float at p = {pv!r}: "
-                             "no refined direction has a finite value")
+            return None
         line = UnitLine(theta_star, c_star)
         near = np.flatnonzero(
             np.abs(arr @ np.array(line.normal()) - c_star) <= 1e-6 * scale)
@@ -341,14 +364,8 @@ def minimize(points, p) -> SolveReport:
     arc_best = np.full(36, math.inf)
     np.minimum.at(arc_best, arcs, scan_values)
     near = int(np.sum(arc_best <= best + _DEGENERATE_RTOL * (1.0 + abs(best))))
-    degenerate = near >= _DEGENERATE_ARCS
-
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
-    return SolveReport(
-        optimal=OptimalSet(best, tuple(lines), (), degenerate=degenerate),
-        stationarity_residual=residual,
-        evaluations=counter.n,
-    )
+    return best, lines, near >= _DEGENERATE_ARCS, residual
 
 
 def solve(points, p) -> OptimalSet:
@@ -376,9 +393,7 @@ def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
         raise ValueError("gradient requires finite p")
     pv = pn.value
     arr = _as_xy(points)
-    a = _offsets(arr, g.theta)
-    resid = g.c - a
-    da_dtheta = arr[:, 0] * (-math.sin(g.theta)) + arr[:, 1] * math.cos(g.theta)
+    resid = g.c - _offsets(arr, *g.normal())
     df_dc = pv * float(_slope_sum(resid, pv))
-    df_dtheta = pv * float(_slope_sum(resid, pv, -da_dtheta))
+    df_dtheta = pv * float(_slope_sum(resid, pv, -_offsets(arr, *g.direction())))
     return df_dtheta, df_dc

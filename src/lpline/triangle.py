@@ -30,14 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import PNorm, Point2, UnitLine, canonicalize, line_through, lines_close
-from .exact import (
-    OptimalSet,
-    PencilThroughPoint,
-    ReducedCurve,
-    solve_p1,
-    solve_pinf,
-)
-from .numeric import bisect_sign
+from .exact import OptimalSet, PencilThroughPoint, ReducedCurve
+from .numeric import bisect_sign, solve
 
 __all__ = [
     "SQRT3",
@@ -125,7 +119,8 @@ def reduced_objective(r: ReducedPoint, p) -> float:
 
 
 def reduced_gradient(r: ReducedPoint, p) -> tuple[float, float]:
-    """Partial derivatives (f_x, f_y) of the reduced objective, interior only."""
+    """Partial derivatives (f_x, f_y) of the reduced objective, interior only.
+    Kept as a step of the paper's derivation: interior critical points are its zeros."""
     pv = _check_p_finite(p)
     if not (0.0 < r.y < r.x < _X_MAX):
         raise ValueError("interior only")
@@ -146,6 +141,7 @@ def critical_x_of_y(y: float, b: float) -> float:
 
     ``x = y * (u^b + v^b) / (u^b - v^b)`` with ``u = 1 + 2 sqrt(3) y`` and
     ``v = 1 - 2 sqrt(3) y``; defined for 0 < y < sqrt(3)/6.
+    Kept as a step of the paper's derivation: at this x, f_x = 0 becomes stationarity_gap = 0.
     """
     if not (0.0 < y < _Y_FAMILY_MAX):
         raise ValueError("y must lie in (0, sqrt(3)/6)")
@@ -365,10 +361,8 @@ def symmetry_orbit(g: UnitLine) -> list[UnitLine]:
 def triangle_optimal_set(p) -> OptimalSet:
     """The full optimal set for the canonical triangle at any p in [1, inf]."""
     pn = PNorm.coerce(p)
-    if pn.is_inf:
-        return solve_pinf(canonical_triangle())
-    if pn.value == 1.0:
-        return solve_p1(canonical_triangle())
+    if pn.is_inf or pn.value == 1.0:
+        return solve(canonical_triangle(), pn)
     phase = classify_phase(pn)
     value = triangle_min_value(pn)
     if phase is TrianglePhase.PARALLEL:

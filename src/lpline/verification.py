@@ -47,7 +47,6 @@ __all__ = [
     "stationarity_gap_over_t",
     "binomial_series_coefficient",
     "remainder_coefficients",
-    "remainder_partial_sum",
     "remainder_tail_bound",
     "CheckResult",
     "SuiteReport",
@@ -130,13 +129,6 @@ def _partial_sum(coeffs, t):
         acc += cn
     out = acc * t2  # lowest power is t^2 (n = 2 term)
     return float(out) if arr.ndim == 0 else out
-
-
-def remainder_partial_sum(t, b: float, n_max: int):
-    """``sum_{n=2}^{n_max} a_n t^(2n-2)`` for a scalar or an array of t."""
-    if np.any(np.abs(t) >= 1.0):
-        raise ValueError("series requires |t| < 1")
-    return _partial_sum(remainder_coefficients(b, n_max), t)
 
 
 def remainder_tail_bound(coeffs: np.ndarray, t):

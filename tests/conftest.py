@@ -1,10 +1,12 @@
 """Shared test helpers: random and fixed point sets, isometries, family
-members, the brute-force grid oracles, and the reference search loops that
-the solver's early stops must reproduce exactly."""
+members, the brute-force grid oracles, the reference search loops that
+the solver's early stops must reproduce exactly, and the readers and
+distances that only the tests use."""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,53 @@ from lpline import (
     lp_objective,
 )
 from lpline.exact import ParallelStrip, PencilThroughPoint, ReducedCurve
+from lpline.fileio import SWEEP_HEADER, SweepRow
 from lpline.geometry import _as_xy
 from lpline.numeric import _INV_PHI
 from lpline.triangle import family_member, reduced_to_line
+from lpline.verification import _partial_sum, remainder_coefficients
+
+
+def point_line_distance(p, g: UnitLine) -> float:
+    """Distance from one point (a ``Point2`` or an (x, y) pair) to a line."""
+    px, py = p
+    nx, ny = g.normal()
+    return abs(g.c - (nx * px + ny * py))
+
+
+def lp_distance(points, g: UnitLine, p) -> float:
+    """The L^p norm of the distance vector, ``(sum d_j^p)^(1/p)``."""
+    pn = PNorm.coerce(p)
+    value = lp_objective(points, g, pn)
+    if pn.is_inf:
+        return value
+    return value ** (1.0 / pn.value)
+
+
+def read_sweep_csv(path) -> list[SweepRow]:
+    """The rows of a file written by ``fileio.write_sweep_csv``."""
+    rows = []
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#") or line == SWEEP_HEADER:
+            continue
+        p_text, phase, value, x0, family, count = line.split(",")
+        rows.append(SweepRow(
+            p=math.inf if p_text == "inf" else float(p_text),
+            phase=phase,
+            min_value=float(value),
+            x0=None if x0 == "" else float(x0),
+            family=family or None,
+            line_count=count if count == "family" else int(count),
+        ))
+    return rows
+
+
+def remainder_partial_sum(t, b: float, n_max: int):
+    """``sum_{n=2}^{n_max} a_n t^(2n-2)`` for a scalar or an array of t."""
+    if np.any(np.abs(t) >= 1.0):
+        raise ValueError("series requires |t| < 1")
+    return _partial_sum(remainder_coefficients(b, n_max), t)
 
 
 def random_points(rng: np.random.Generator, count: int | None = None,

@@ -13,7 +13,6 @@ from lpline import (
     lp_objective,
     minimize,
     objective_gradient,
-    point_line_distance,
     reduced_gradient,
     reduced_objective,
     reduced_to_line,
@@ -30,7 +29,7 @@ from lpline.fileio import locate_transitions
 from lpline.triangle import ReducedPoint, canonical_triangle
 from lpline.verification import default_t_grid, run_verification_suite
 
-from conftest import line_param_distance, random_points, refined_oracle
+from conftest import line_param_distance, point_line_distance, random_points, refined_oracle
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()

@@ -10,11 +10,12 @@ from lpline.fileio import (
     fmt,
     locate_transitions,
     parse_points_text,
-    read_sweep_csv,
     triangle_sweep,
     write_sweep_csv,
 )
 from lpline.triangle import canonical_triangle, triangle_min_value
+
+from conftest import read_sweep_csv
 
 SQRT3 = math.sqrt(3.0)
 
@@ -163,10 +164,9 @@ class TestSolveCommand:
         assert main(["solve", "--points", str(path), "--p", "2"]) == 3
         assert "solver error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_objective_exits_3(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
-        path.write_text("".join(f"{6.4 * x!r},{6.4 * y!r}\n" for x, y in canonical_triangle()))
+        path.write_text("".join(f"{64 * x!r},{64 * y!r}\n" for x, y in canonical_triangle()))
         assert main(["solve", "--points", str(path), "--p", "672.69"]) == 3
         assert "overflows" in capsys.readouterr().err
 

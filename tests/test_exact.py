@@ -8,7 +8,6 @@ from lpline import (
     Point2,
     line_through,
     lp_objective,
-    point_line_distance,
     solve_p1,
     solve_p2,
     solve_pinf,
@@ -20,6 +19,7 @@ from conftest import (
     attained_value,
     contains_count,
     family_lines,
+    point_line_distance,
     random_points,
     random_isometry,
     refined_oracle,

@@ -15,15 +15,19 @@ from lpline import (
     first_order_residual,
     line_through,
     lines_close,
-    lp_distance,
     lp_objective,
-    point_line_distance,
     sign_partition,
 )
 from lpline.geometry import _as_xy
 from lpline.triangle import canonical_triangle
 
-from conftest import random_points, random_isometry, transform_line
+from conftest import (
+    lp_distance,
+    point_line_distance,
+    random_isometry,
+    random_points,
+    transform_line,
+)
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()

@@ -34,15 +34,19 @@ from lpline import (
     Point2,
     UnitLine,
     best_offset_for_direction,
+    default_eps_zero,
+    distance_vector,
+    first_order_residual,
     lp_objective,
     minimize,
     objective_gradient,
+    sign_partition,
     solve_p1,
     solve_p2,
     solve_pinf,
 )
 from lpline.cli import main
-from lpline.triangle import canonical_triangle
+from lpline.triangle import canonical_triangle, triangle_optimal_set
 
 from conftest import band_with_outlier, regular_polygon
 
@@ -98,7 +102,15 @@ OBJECTIVE_CASES = {
     "objective_gradient-p2.5": lambda: objective_gradient(_cloud(), CLOUD_LINE, 2.5),
     "lp_objective-p1.2": lambda: lp_objective(_cloud(), CLOUD_LINE, 1.2),
     "lp_objective-p2.5": lambda: lp_objective(_cloud(), CLOUD_LINE, 2.5),
+    "distance_vector": lambda: distance_vector(_cloud(), CLOUD_LINE).tolist(),
+    "sign_partition": lambda: sign_partition(_cloud(), CLOUD_LINE),
+    "default_eps_zero": lambda: default_eps_zero(_cloud()),
+    "first_order_residual-p1.2": lambda: first_order_residual(_cloud(), CLOUD_LINE, 1.2),
+    "first_order_residual-p2.5": lambda: first_order_residual(_cloud(), CLOUD_LINE, 2.5),
 }
+
+# the analytic triangle where it hands over to the closed forms
+TRIANGLE_CASES = {"p1": 1.0, "pinf": "inf"}
 
 EXACT_SOLVERS = {"solve_p1": solve_p1, "solve_p2": solve_p2, "solve_pinf": solve_pinf}
 EXACT_CASES = [f"{solver}-{shape}" for solver in EXACT_SOLVERS for shape in SHAPES]
@@ -153,6 +165,10 @@ def objective_entry(case: str):
     return _encode(OBJECTIVE_CASES[case]())
 
 
+def triangle_entry(case: str):
+    return _encode(triangle_optimal_set(TRIANGLE_CASES[case]))
+
+
 def stdout_sha256(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -191,6 +207,7 @@ def record() -> dict:
         "minimize": {case: minimize_entry(case) for case in MINIMIZE_CASES},
         "exact": {case: exact_entry(case) for case in EXACT_CASES},
         "objective": {case: objective_entry(case) for case in OBJECTIVE_CASES},
+        "triangle_optimal_set": {case: triangle_entry(case) for case in TRIANGLE_CASES},
         "cli": {"verify_quick_stdout_sha256": verify_quick_sha256(),
                 "verify_stdout_sha256": stdout_sha256(["verify"]),
                 "sweep_csv_sha256": sweep_sha256()},
@@ -217,6 +234,11 @@ def test_exact(golden, case):
 @pytest.mark.parametrize("case", list(OBJECTIVE_CASES))
 def test_objective(golden, case):
     assert objective_entry(case) == golden["objective"][case]
+
+
+@pytest.mark.parametrize("case", list(TRIANGLE_CASES))
+def test_triangle_optimal_set(golden, case):
+    assert triangle_entry(case) == golden["triangle_optimal_set"][case]
 
 
 def test_verify_quick_stdout(golden):

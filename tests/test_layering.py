@@ -1,5 +1,6 @@
 """Imports inside the package point one way, from a module to lower layers
-only, and the objective's power sums are reduced in one place."""
+only; the objective's power sums are reduced, points projected onto a
+normal and coordinates checked for finiteness each in one place."""
 
 import ast
 from pathlib import Path
@@ -39,30 +40,63 @@ def test_imports_point_down():
     assert not upward
 
 
-def _functions_with_variable_powers(path: Path) -> set[str]:
-    """Top-level functions (or ``<module>``) holding a ``**`` whose exponent
-    is not a literal number."""
-    def is_literal(node) -> bool:
-        if isinstance(node, ast.UnaryOp):
-            node = node.operand
-        return isinstance(node, ast.Constant)
-
+def _owners(path: Path, match) -> set[str]:
+    """Top-level functions (or ``<module>``) of ``path`` holding a node that
+    ``match`` accepts."""
     found = set()
-    tree = ast.parse(path.read_text())
-    for top in tree.body:
+    for top in ast.parse(path.read_text()).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        for node in ast.walk(top):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
-                exponent = node.right if isinstance(node, ast.BinOp) else node.value
-                if not is_literal(exponent):
-                    found.add(owner)
+        if any(match(node) for node in ast.walk(top)):
+            found.add(owner)
     return found
 
 
+def _is_variable_power(node) -> bool:
+    """A ``**`` whose exponent is not a literal number."""
+    if not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)):
+        return False
+    exponent = node.right if isinstance(node, ast.BinOp) else node.value
+    if isinstance(exponent, ast.UnaryOp):
+        exponent = exponent.operand
+    return not isinstance(exponent, ast.Constant)
+
+
+def _is_first_column(node) -> bool:
+    """``x[:, 0]``."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    elts = node.slice.elts
+    return (len(elts) == 2 and isinstance(elts[0], ast.Slice)
+            and isinstance(elts[1], ast.Constant) and elts[1].value == 0)
+
+
+def _is_projection(node) -> bool:
+    """A product with ``x[:, 0]`` as a factor."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (_is_first_column(node.left) or _is_first_column(node.right)))
+
+
+def _is_np_isfinite(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
 def test_power_sums_live_in_geometry():
-    assert _functions_with_variable_powers(PACKAGE / "numeric.py") == set()
-    assert _functions_with_variable_powers(PACKAGE / "geometry.py") <= {
-        "_power_sum", "_slope_sum", "lp_distance", "first_order_residual"}
+    assert _owners(PACKAGE / "numeric.py", _is_variable_power) == set()
+    assert _owners(PACKAGE / "geometry.py", _is_variable_power) <= {
+        "_power_sum", "_slope_sum", "first_order_residual"}
+
+
+def test_points_are_projected_in_one_place():
+    projections = {path.stem: _owners(path, _is_projection) for path in PACKAGE.glob("*.py")}
+    assert {name: owners for name, owners in projections.items() if owners} == {
+        "geometry": {"_offsets"}}
+
+
+def test_points_are_validated_in_one_place():
+    assert _owners(PACKAGE / "geometry.py", _is_np_isfinite) == {"_as_xy"}
+    assert _owners(PACKAGE / "exact.py", _is_np_isfinite) == set()
+    assert _owners(PACKAGE / "numeric.py", _is_np_isfinite) == set()
 
 
 def test_no_environment_reads_or_thread_pools():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from lpline import (
     lp_objective,
     minimize,
     objective_gradient,
-    point_line_distance,
     sign_partition,
     solve,
     solve_p1,
@@ -30,6 +30,7 @@ from conftest import (
     bisect_sign_reference,
     brute_force_oracle,
     golden_section_reference,
+    point_line_distance,
     random_points,
     refined_oracle,
     regular_polygon,
@@ -133,12 +134,28 @@ class TestMinimize:
         with pytest.raises(DegenerateInputError):
             minimize([Point2(1.0, 2.0), Point2(1.0, 2.0)], 2.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_value_error(self):
-        # every |r|^p of the scaled triangle overflows at this p, so no
-        # refined direction has a finite value
-        pts = 6.4 * np.array([tuple(q) for q in TRI])
+        # the optimal value of the triangle scaled by 64 overflows at this p
+        pts = 64.0 * np.array([tuple(q) for q in TRI])
         with pytest.raises(ValueError, match="overflows"):
+            minimize(pts, 672.69)
+
+    def test_overflowing_search_is_solved_at_a_smaller_scale(self):
+        # at scale 6.4 every refined direction overflows, but the optimum
+        # (~1.7e298) does not
+        p = 672.69
+        pts = 6.4 * np.array([tuple(q) for q in TRI])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = minimize(pts, p)
+        assert report.optimal.min_value < math.inf
+        assert report.optimal.min_value ** (1.0 / p) == pytest.approx(
+            6.4 * side_parallel_value(p) ** (1.0 / p), rel=1e-12)
+
+    def test_overflowing_scan_lanes_raise_no_warning(self):
+        pts = 5.0 * np.array([tuple(q) for q in TRI])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             minimize(pts, 672.69)
 
     def test_oracle_agreement(self, rng):

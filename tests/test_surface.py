@@ -1,10 +1,14 @@
-"""The public surface keeps only the options that a caller sets."""
+"""The public surface keeps only the options that a caller sets, and every
+public function that takes points rejects non-finite coordinates."""
 
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 import lpline
+from lpline import fileio, geometry, verification
 from lpline.cli import main
 from lpline.geometry import UnitLine, first_order_residual, sign_partition
 from lpline.triangle import ReducedPoint, locate_transitions, symmetry_orbit
@@ -30,6 +34,47 @@ def test_retired_names_are_gone():
     assert not hasattr(UnitLine, "foot")
     for family in (lpline.PencilThroughPoint, lpline.ParallelStrip, lpline.ReducedCurve):
         assert not hasattr(family, "sample_lines")
+
+
+@pytest.mark.parametrize("module,name", [
+    (geometry, "lp_distance"),
+    (geometry, "point_line_distance"),
+    (fileio, "read_sweep_csv"),
+    (fileio, "_PHASE_TEXT"),
+    (verification, "remainder_partial_sum"),
+])
+def test_test_only_helpers_are_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(lpline, name)
+    assert name not in getattr(module, "__all__")
+    assert name not in lpline.__all__
+
+
+LINE = UnitLine(0.3, 0.1)
+TAKES_POINTS = {
+    "distance_vector": lambda pts: lpline.distance_vector(pts, LINE),
+    "lp_objective": lambda pts: lpline.lp_objective(pts, LINE, 1.5),
+    "sign_partition": lambda pts: lpline.sign_partition(pts, LINE),
+    "default_eps_zero": lambda pts: lpline.default_eps_zero(pts),
+    "first_order_residual": lambda pts: lpline.first_order_residual(pts, LINE, 1.5),
+    "best_offset_for_direction": lambda pts: lpline.best_offset_for_direction(pts, 0.3, 1.5),
+    "objective_gradient": lambda pts: lpline.objective_gradient(pts, LINE, 1.5),
+    "solve_p1": lpline.solve_p1,
+    "solve_p2": lpline.solve_p2,
+    "solve_pinf": lpline.solve_pinf,
+    "minimize": lambda pts: lpline.minimize(pts, 1.5),
+}
+NON_FINITE = {
+    "ndarray-nan-row": np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, math.nan], [0.0, 1.0]]),
+    "tuples-inf": [(0.0, 0.0), (1.0, 0.0), (0.5, math.inf), (0.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("points", list(NON_FINITE))
+@pytest.mark.parametrize("fn", list(TAKES_POINTS))
+def test_non_finite_points_raise(fn, points):
+    with pytest.raises(ValueError, match="^non-finite coordinate$"):
+        TAKES_POINTS[fn](NON_FINITE[points])
 
 
 @pytest.mark.parametrize("flag", ["--exact", "--numeric"])

@@ -14,7 +14,6 @@ from lpline import (
     family_member,
     lp_objective,
     minimize,
-    point_line_distance,
     reduced_gradient,
     reduced_objective,
     reduced_to_line,
@@ -28,7 +27,7 @@ from lpline import (
 from lpline.exact import PencilThroughPoint, ReducedCurve
 from lpline.numeric import golden_section
 
-from conftest import family_lines, line_param_distance
+from conftest import family_lines, line_param_distance, point_line_distance
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()

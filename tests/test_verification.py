@@ -11,13 +11,12 @@ from lpline.verification import (
     default_b_grid,
     default_t_grid,
     remainder_coefficients,
-    remainder_partial_sum,
     remainder_tail_bound,
     run_verification_suite,
     stationarity_gap_over_t,
 )
 
-from conftest import remainder_partial_sum_reference
+from conftest import remainder_partial_sum, remainder_partial_sum_reference
 
 
 def exact_coefficient(b: Fraction, n: int) -> Fraction:
