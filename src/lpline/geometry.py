@@ -234,6 +234,15 @@ def _slope_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
+def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
+    """``sum |r|^(p-2)`` along axis 0, each term times ``weight`` when one is
+    given: the objective's curvature in the residuals, divided by p (p - 1).
+    A zero residual adds 0 for p >= 2, and nan for p < 2, where its term is
+    infinite."""
+    sign = np.sign(r)
+    return _slope_sum(r, p - 1.0, sign if weight is None else sign * weight)
+
+
 def lp_objective(points, g: UnitLine, p) -> float:
     """``sum d_j^p`` for finite p, ``max d_j`` for p = inf."""
     pn = PNorm.coerce(p)

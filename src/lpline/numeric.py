@@ -1,10 +1,13 @@
 """General-p line minimization (1 < p < inf).
 
 The objective ``f(theta, c) = sum_j |c - a_j(theta)|^p`` with
-``a_j(theta) = <n(theta), p_j>`` is convex in ``c`` for every fixed direction,
-so the inner problem is solved by golden-section search.  The outer problem
-over ``theta`` is non-convex with up to six global minimizers on symmetric
-inputs; a dense scan plus multistart refinement recovers all of them.
+``a_j(theta) = <n(theta), p_j>`` is convex in ``c`` for every fixed direction.
+The outer problem over ``theta`` is non-convex, and symmetric inputs have
+whole orbits of global minimizers (2n lines for some regular n-gons).  A
+dense scan of ``theta`` (golden-section search in ``c`` on every lane) brackets
+every local minimum of the profile ``theta -> min_c f``, and each is refined
+by safeguarded Newton on the profile's slope, with the exact inner offset
+from safeguarded Newton on the offset slope at every step.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .geometry import (
     first_order_residual,
     lp_objective,
     _as_xy,
+    _curvature_sum,
     _offsets,
     _power_sum,
     _slope_sum,
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 # candidates closer than this in theta are considered the same start
 MIN_THETA_SEPARATION = math.pi / 36.0
 # scan arcs agreeing with the optimum at this relative level flag a family
@@ -46,10 +51,13 @@ _DEGENERATE_ARCS = 12
 # theta scan: lanes over [0, pi), and golden steps per lane and per refinement
 _THETA_SAMPLES = 720
 _REFINE_ITERS = 60
-# refinement: offset-search and tie tolerances (relative), and starts refined
+# refinement: offset-search and tie tolerances (relative), and the starts
+# refined when the scan already shows a family
 _C_TOL = 1e-12
 _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
+# cap on the evaluations of one safeguarded Newton search
+_NEWTON_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -64,9 +72,13 @@ class SolveReport:
     and the reported defect stays O(1) even though the line is exact.
 
     ``evaluations`` counts the objective evaluations of the theta scan (one
-    per scan lane and step), those of the inner offset searches in the theta
-    refinement, and each angular-slope call (envelope or through-point).
-    The offset solves inside each envelope slope call are not counted.
+    per scan lane and step); each profile-slope evaluation of the Newton
+    refinement and each iteration of its inner offset searches; where a
+    start falls back to golden-section refinement, the inner offset
+    evaluations of that search and each envelope-slope call; and each
+    through-point slope call of the kink snap.  The offset solves of
+    :func:`best_offset_for_direction` (the final offset of every refined
+    line, and those inside the envelope-slope calls) are not counted.
     """
 
     optimal: OptimalSet
@@ -130,6 +142,43 @@ def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> floa
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _newton_sign(fd, lo: float, hi: float, x: float) -> float:
+    """Root of an increasing ``f`` between ``lo`` (f < 0) and ``hi`` (f > 0),
+    searched from ``x`` by safeguarded Newton (``rtsafe``).
+
+    ``fd(x)`` returns ``(f(x), f'(x))``, and each call narrows the sign
+    bracket.  The Newton step is taken only when it lands inside the bracket
+    and is at most half the step before last; otherwise the bracket is
+    bisected, so a slope that Newton crosses only a fraction of the way per
+    step (large p) still converges.  Stops on an exact 0, when the Newton step
+    no longer moves ``x``, when no float at the scale of the initial bracket
+    is left inside the bracket, or after ``_NEWTON_ITERS`` calls.
+    """
+    resolution = _EPS * max(abs(lo), abs(hi))
+    last = before = hi - lo
+    for _ in range(_NEWTON_ITERS):
+        f, df = fd(x)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= resolution:
+            break
+        step = f / df if 0.0 < df < math.inf else math.nan
+        new = x - step
+        if new == x:
+            break
+        if lo < new < hi and abs(step) <= 0.5 * abs(before):
+            before, last = last, step
+        else:
+            new = 0.5 * (lo + hi)
+            before, last = last, 0.5 * (hi - lo)
+        x = new
+    return x
 
 
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
@@ -212,10 +261,17 @@ def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
 def minimize(points, p) -> SolveReport:
     """Global line minimization for finite p in (1, inf).
 
-    Scans ``theta`` over [0, pi), keeps the best well-separated starts, refines
-    each by golden-section over theta (inner offset solved per evaluation), and
-    returns all distinct refined minimizers tying with the best value.  A wide
-    spread of near-optimal directions marks a one-parameter optimal family.
+    Scans ``theta`` over [0, pi) and refines every circular local minimum of
+    the scan inside its lane's bracket by safeguarded Newton on the profile
+    slope, in the frame centred on the centroid.  Where the profile slope
+    does not change sign in the bracket, and for the best well-separated
+    starts that replace the local minima when the scan already shows a
+    family, the start is refined by golden-section over theta instead.  Each
+    refined line then takes its offset and value from
+    :func:`best_offset_for_direction` on the input, may snap to a line
+    through one or two points, and all distinct lines tying with the best
+    value are returned.  A wide spread of near-optimal directions marks a
+    one-parameter optimal family.
 
     If every refined direction overflows, the search reruns on the points
     times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is exact;
@@ -227,8 +283,10 @@ def minimize(points, p) -> SolveReport:
     arr = _check_points(points)
     counter = _Counter()
     # sums far from the optimum may overflow to inf (or to nan, for a slope
-    # with terms of both signs); they then lose every comparison, as they should
-    with np.errstate(over="ignore", invalid="ignore"):
+    # with terms of both signs); they then lose every comparison, as they
+    # should.  A zero residual makes a curvature term infinite for p < 2; the
+    # Newton searches then bisect
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         found = _search(arr, pn, counter)
         if found is None:
             k = math.frexp(float(np.max(np.ptp(arr, axis=0))))[1] - 1
@@ -246,25 +304,40 @@ def minimize(points, p) -> SolveReport:
 
 def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     """:func:`minimize` on ``arr``: (best, lines, degenerate, stationarity
-    residual), or None if every refined direction of a start overflows."""
+    residual), or None if the refined direction of a start overflows."""
     pv = pn.value
 
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
-    _, scan_values = _scan_values(arr, thetas, pv, _REFINE_ITERS, counter)
+    scan_c, scan_values = _scan_values(arr, thetas, pv, _REFINE_ITERS, counter)
 
-    # multistart selection: best scan values, separated in theta
+    # family test: how many well-separated scan arcs tie a value
+    arcs = np.minimum((thetas / MIN_THETA_SEPARATION).astype(int), 35)
+    arc_best = np.full(36, math.inf)
+    np.minimum.at(arc_best, arcs, scan_values)
+
+    def family(value: float) -> bool:
+        near = int(np.sum(arc_best <= value + _DEGENERATE_RTOL * (1.0 + abs(value))))
+        return near >= _DEGENERATE_ARCS
+
+    # starts, best scan value first: every circular local minimum of the scan,
+    # or, when the scan already shows a family, the best well-separated lanes
     order = np.argsort(scan_values, kind="stable")
-    starts: list[int] = []
-    for idx in order:
-        th = thetas[idx]
-        sep = min(
-            (min(abs(th - thetas[k]), math.pi - abs(th - thetas[k])) for k in starts),
-            default=math.inf,
-        )
-        if sep >= MIN_THETA_SEPARATION:
-            starts.append(int(idx))
-        if len(starts) >= _MULTISTART_KEEP:
-            break
+    if family(float(scan_values[order[0]])):
+        starts: list[int] = []
+        for idx in order:
+            th = thetas[idx]
+            sep = min(
+                (min(abs(th - thetas[k]), math.pi - abs(th - thetas[k])) for k in starts),
+                default=math.inf,
+            )
+            if sep >= MIN_THETA_SEPARATION:
+                starts.append(int(idx))
+            if len(starts) >= _MULTISTART_KEEP:
+                break
+    else:
+        minimum = ((scan_values <= np.roll(scan_values, 1))
+                   & (scan_values < np.roll(scan_values, -1)))
+        starts = [int(idx) for idx in order if minimum[idx]]
 
     def profile(theta: float) -> float:
         a = np.sort(_offsets(arr, math.cos(theta), math.sin(theta)))
@@ -308,22 +381,87 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
         value = float(_power_sum(arr @ n - c, pv))
         return value, UnitLine(alpha, c)
 
+    # Newton refinement, in the frame centred on the centroid
     step = math.pi / _THETA_SAMPLES
+    centre = arr.mean(axis=0)
+    centred = arr - centre
+    pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
+    c_prev = 0.0
+
+    def offset(a: np.ndarray) -> float:
+        # c*: the root of the offset slope, which increases in c
+        lo, hi = float(np.min(a)), float(np.max(a))
+        if lo == hi:
+            return lo
+
+        def fd(c):
+            counter.n += 1
+            r = c - a
+            return float(_slope_sum(r, pv)), (pv - 1.0) * float(_curvature_sum(r, pv))
+
+        return _newton_sign(fd, lo, hi, min(max(c_prev, lo), hi))
+
+    def profile_derivatives(theta: float) -> tuple[float, float]:
+        # first and second derivative of theta -> min_c f(theta, c)
+        nonlocal c_prev
+        counter.n += 1
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        a = _offsets(centred, cos_t, sin_t)
+        b = _offsets(centred, -sin_t, cos_t)
+        c_prev = offset(a)
+        r = c_prev - a
+        q = int(np.argmin(np.abs(r)))
+        if abs(r[q]) <= pin:
+            # c* sits on point q, where f_c is not resolved: differentiate
+            # the line through q instead (the envelope slope with q's term
+            # eliminated)
+            r = a[q] - a
+            w = b[q] - b
+            slope = pv * float(_slope_sum(r, pv, w))
+            curvature = (pv * (pv - 1.0) * float(_curvature_sum(np.delete(r, q), pv,
+                                                                  np.delete(w, q) ** 2))
+                         - pv * float(_power_sum(r, pv)))
+        else:
+            s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
+            slope = -pv * float(_slope_sum(r, pv, b))
+            curvature = (pv * (pv - 1.0) * float(s2 - s1 * s1 / s0)
+                         + pv * float(_slope_sum(r, pv, a)))
+        return slope, curvature
+
+    def newton_theta(idx: int) -> float | None:
+        # the root of the profile slope in the lane's bracket, or None when
+        # the slope does not change sign there
+        nonlocal c_prev
+        th0 = float(thetas[idx])
+        c0 = float(scan_c[idx] - _offsets(centre[None, :], math.cos(th0), math.sin(th0))[0])
+        ends = []
+        for end in (th0 - step, th0 + step):
+            c_prev = c0
+            ends.append(profile_derivatives(end)[0])
+        if not ends[0] < 0.0 < ends[1]:
+            return None
+        c_prev = c0
+        return _newton_sign(profile_derivatives, th0 - step, th0 + step, th0)
+
     refined: list[tuple[float, UnitLine]] = []
     for idx in starts:
-        th0 = thetas[idx]
-        theta_golden, _ = golden_section(profile, th0 - step, th0 + step,
-                                         tol=1e-14, max_iters=_REFINE_ITERS)
-        # value-based search stalls at sqrt(eps) near the minimum; bisecting
-        # the slope sign recovers full precision in theta (near p = 1 the
-        # narrow bracket can miss the sign change, so retry at the scan step,
-        # where sign bisection handles even quasi-kinked minima)
-        candidates = [theta_golden]
-        for width in (1e-5, step):
-            t_lo, t_hi = theta_golden - width, theta_golden + width
-            if profile_slope(t_lo) < 0.0 < profile_slope(t_hi):
-                candidates.append(bisect_sign(profile_slope, t_lo, t_hi, 60))
-                break
+        theta_newton = newton_theta(idx)
+        if theta_newton is not None:
+            candidates = [theta_newton]
+        else:
+            th0 = thetas[idx]
+            theta_golden, _ = golden_section(profile, th0 - step, th0 + step,
+                                             tol=1e-14, max_iters=_REFINE_ITERS)
+            # value-based search stalls at sqrt(eps) near the minimum; bisecting
+            # the slope sign recovers full precision in theta (near p = 1 the
+            # narrow bracket can miss the sign change, so retry at the scan step,
+            # where sign bisection handles even quasi-kinked minima)
+            candidates = [theta_golden]
+            for width in (1e-5, step):
+                t_lo, t_hi = theta_golden - width, theta_golden + width
+                if profile_slope(t_lo) < 0.0 < profile_slope(t_hi):
+                    candidates.append(bisect_sign(profile_slope, t_lo, t_hi, 60))
+                    break
         value = math.inf
         theta_star = c_star = None
         for th in candidates:
@@ -359,13 +497,8 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
 
     best, lines = _ties(sorted(refined, key=lambda t: t[0]), _VALUE_TOL, 1e-7)
 
-    # family detection: how many well-separated scan arcs already tie the optimum
-    arcs = np.minimum((thetas / MIN_THETA_SEPARATION).astype(int), 35)
-    arc_best = np.full(36, math.inf)
-    np.minimum.at(arc_best, arcs, scan_values)
-    near = int(np.sum(arc_best <= best + _DEGENERATE_RTOL * (1.0 + abs(best))))
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
-    return best, lines, near >= _DEGENERATE_ARCS, residual
+    return best, lines, family(best), residual
 
 
 def solve(points, p) -> OptimalSet:

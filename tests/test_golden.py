@@ -10,11 +10,12 @@ the stdout of ``lpline verify --quick``, of the full ``lpline verify`` and
 of ``lpline solve`` on the triangle at six exponents, of a 2000-step
 ``lpline sweep`` file and of the ``lpline render`` SVG in each regime.  A
 change that is meant to keep outputs must pass these tests unchanged.  A
-change that alters outputs on purpose rewrites the file with
+change that alters outputs on purpose lists the entries that would change
+with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --diff
 
-and lists the entries that changed.
+and then rewrites the file by running the same command without ``--diff``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,14 @@ def test_minimize(golden, case):
     assert minimize_entry(case) == golden["minimize"][case]
 
 
+@pytest.mark.parametrize("case", list(MINIMIZE_CASES))
+def test_minimize_raises_no_warning(case):
+    shape, p = MINIMIZE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minimize(MINIMIZE_SHAPES[shape](), p)
+
+
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_exact(golden, case):
     assert exact_entry(case) == golden["exact"][case]
@@ -263,6 +274,17 @@ def test_render_svg(golden, case):
     assert render_sha256(case) == golden["render_svg_sha256"][case]
 
 
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """``section/entry`` for every entry that differs between two records."""
+    return [f"{section}/{key}"
+            for section in sorted(old.keys() | new.keys())
+            for key in sorted(old.get(section, {}).keys() | new.get(section, {}).keys())
+            if old.get(section, {}).get(key) != new.get(section, {}).get(key)]
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    if "--diff" in sys.argv[1:]:
+        print("\n".join(changed_entries(json.loads(GOLDEN.read_text()), record())))
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")

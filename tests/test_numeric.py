@@ -30,6 +30,7 @@ from conftest import (
     bisect_sign_reference,
     brute_force_oracle,
     golden_section_reference,
+    line_param_distance,
     point_line_distance,
     random_points,
     refined_oracle,
@@ -219,6 +220,58 @@ class TestMinimize:
                 mapped = [transform_line(g, iso) for g in base.optimal.lines]
                 for g in moved.optimal.lines:
                     assert min(line_param_distance(g, h) for h in mapped) < 1e-6
+
+
+class TestRefinement:
+    """Every scan minimum is refined, so whole symmetry orbits come back."""
+
+    @pytest.mark.parametrize("n, p, count", [
+        (9, 1.5, 9),
+        (9, 3.0, 9),
+        # symmetry-broken optima: an orbit of 2n lines
+        (5, 1.2675, 10),
+        (7, 1.24, 14),
+    ])
+    def test_regular_polygon_returns_its_orbit(self, n, p, count):
+        report = minimize(regular_polygon(n), p)
+        lines = report.optimal.lines
+        assert len(lines) == count
+        assert not report.optimal.degenerate
+        # closed under D_n: rotations by 2 pi k / n and the mirror in the x-axis
+        for g in lines:
+            for k in range(n):
+                beta = 2.0 * math.pi * k / n
+                for image in (UnitLine(g.theta + beta, g.c), UnitLine(beta - g.theta, g.c)):
+                    assert min(line_param_distance(image, h) for h in lines) < 1e-9
+
+    @pytest.mark.parametrize("points, p", [(TRI, 1.5), (regular_polygon(9), 3.0)],
+                             ids=["triangle-p1.5", "9-gon-p3"])
+    def test_evaluations_stay_bounded(self, points, p):
+        # the theta scan alone spends 720 lanes x 62 evaluations = 44 640
+        assert minimize(points, p).evaluations <= 50_000
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(5, 30),
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.floats(1.05, 4.0),
+        scale=st.floats(1.0, 100.0),
+        shift=st.one_of(st.just(0.0), st.floats(0.0, 4.0).map(lambda e: 10.0 ** e)),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        direction=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_similar_copy_scales_the_norm(self, m, seed, p, scale, shift, angle, direction):
+        # a copy of a Gaussian cloud scaled by s, rotated and moved by `shift`
+        # sizes has s times the optimal norm, within the rounding of its
+        # coordinates
+        base = np.random.default_rng(seed).standard_normal((m, 2))
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        move = shift * scale * np.array([math.cos(direction), math.sin(direction)])
+        copy = scale * (base @ rot.T) + move
+        want = scale * minimize(base, p).optimal.min_value ** (1.0 / p)
+        got = minimize(copy, p).optimal.min_value ** (1.0 / p)
+        assert abs(got - want) <= (1e-9 + 64.0 * np.finfo(float).eps * shift) * want
 
 
 class TestSolveDispatch:
