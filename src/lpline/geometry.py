@@ -254,24 +254,17 @@ def lp_objective(points, g: UnitLine, p) -> float:
     return float(_power_sum(d, pn.value))
 
 
-def _partition(arr: np.ndarray, g: UnitLine) -> tuple[SignPartition, np.ndarray]:
-    """The sign partition of the rows of ``arr`` and their distances to ``g``
-    (``|<n, p_j> - c|``, which equals ``|c - <n, p_j>|`` bit for bit)."""
-    resid = _offsets(arr, *g.normal()) - g.c
-    d = np.abs(resid)
-    on = d <= _eps_zero(arr)
-    above = resid > 0.0
-    plus, zero, minus = (tuple(np.flatnonzero(mask).tolist())
-                         for mask in (~on & above, on, ~on & ~above))
-    return SignPartition(plus, zero, minus), d
-
-
 def sign_partition(points, g: UnitLine) -> SignPartition:
     """Partition point indices by the sign of ``<n, p_j> - c``.
 
     Offsets within :func:`default_eps_zero` of the line go to ``j_zero``.
     """
-    return _partition(_as_xy(points), g)[0]
+    arr = _as_xy(points)
+    resid = _offsets(arr, *g.normal()) - g.c
+    on = np.abs(resid) <= _eps_zero(arr)
+    above = resid > 0.0
+    return SignPartition(*(tuple(np.flatnonzero(mask).tolist())
+                           for mask in (~on & above, on, ~on & ~above)))
 
 
 def first_order_residual(points, g: UnitLine, p) -> float:
@@ -283,8 +276,6 @@ def first_order_residual(points, g: UnitLine, p) -> float:
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("first-order residual requires finite p > 1")
-    part, d = _partition(_as_xy(points), g)
-    q = pn.value - 1.0
-    lo = sum(d[j] ** q for j in part.j_minus)
-    hi = sum(d[j] ** q for j in part.j_plus)
-    return float(lo - hi)
+    arr = _as_xy(points)
+    resid = _offsets(arr, *g.normal()) - g.c
+    return float(_slope_sum(-resid, pn.value, np.abs(resid) > _eps_zero(arr)))

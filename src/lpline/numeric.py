@@ -6,8 +6,10 @@ The outer problem over ``theta`` is non-convex, and symmetric inputs have
 whole orbits of global minimizers (2n lines for some regular n-gons).  A
 dense scan of ``theta`` (golden-section search in ``c`` on every lane) brackets
 every local minimum of the profile ``theta -> min_c f``, and each is refined
-by safeguarded Newton on the profile's slope, with the exact inner offset
-from safeguarded Newton on the offset slope at every step.
+by safeguarded Newton on the profile's slope.  Every optimal offset c*(theta)
+for p > 1, in the refinement and in :func:`best_offset_for_direction`, is
+the root of the monotone offset slope found by one safeguarded Newton
+search, :func:`_offset_root`.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ _DEGENERATE_ARCS = 12
 # theta scan: lanes over [0, pi), and golden steps per lane and per refinement
 _THETA_SAMPLES = 720
 _REFINE_ITERS = 60
-# refinement: offset-search and tie tolerances (relative), and the starts
-# refined when the scan already shows a family
-_C_TOL = 1e-12
+# refinement: the tie tolerance (relative), and the starts refined when the
+# scan already shows a family
 _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
@@ -73,12 +74,13 @@ class SolveReport:
 
     ``evaluations`` counts the objective evaluations of the theta scan (one
     per scan lane and step); each profile-slope evaluation of the Newton
-    refinement and each iteration of its inner offset searches; where a
-    start falls back to golden-section refinement, the inner offset
-    evaluations of that search and each envelope-slope call; and each
-    through-point slope call of the kink snap.  The offset solves of
-    :func:`best_offset_for_direction` (the final offset of every refined
-    line, and those inside the envelope-slope calls) are not counted.
+    refinement; each Newton iteration of the inner offset searches, both of
+    that refinement and of the profile values of the golden-section
+    refinement where a start falls back to it; each envelope-slope call of
+    that fallback; and each through-point slope call of the kink snap.  The
+    offset solves of :func:`best_offset_for_direction` (the final offset of
+    every refined line, and those inside the envelope-slope calls) are not
+    counted.
     """
 
     optimal: OptimalSet
@@ -184,11 +186,11 @@ def _newton_sign(fd, lo: float, hi: float, x: float) -> float:
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     """Optimal signed offset and value for a fixed direction.
 
-    ``c -> sum |c - a_j|^p`` is convex for p >= 1; golden-section over
-    ``[min a_j, max a_j]`` converges.  Because value comparisons saturate at
-    sqrt(eps) resolution near a flat minimum, the result is polished by
-    bisecting the sign of the (monotone) derivative.  For p = 1 the exact
-    answer is a median of the offsets.
+    For p > 1, ``c -> sum |c - a_j|^p`` is strictly convex, and its optimum
+    is the root of its monotone slope: :func:`_offset_root`, started from the
+    mean offset, to float resolution.  Sums that overflow give an infinite
+    value and no numpy warning.  For p = 1 the exact answer is a median of
+    the offsets.
     """
     pn = PNorm.coerce(p)
     if pn.is_inf:
@@ -196,24 +198,15 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     arr = _as_xy(points)
     if len(arr) == 0:
         raise ValueError("empty input")
-    a = np.sort(_offsets(arr, math.cos(theta), math.sin(theta)))
+    a = _offsets(arr, math.cos(theta), math.sin(theta))
     pv = pn.value
     if pv == 1.0:
+        a = np.sort(a)
         c = float(a[(len(a) - 1) // 2])
         return c, float(_power_sum(c - a, 1.0))
-    lo, hi = float(a[0]), float(a[-1])
-    if lo == hi:
-        return lo, 0.0
-    f = lambda c: float(_power_sum(c - a, pv))
-    c, value = golden_section(f, lo, hi, tol=1e-9 * (1.0 + hi - lo))
-    # the slope in c over p, monotone in c
-    slope = lambda c: float(_slope_sum(c - a, pv))
-    width = 1e-6 * (hi - lo)
-    b_lo, b_hi = max(c - width, lo), min(c + width, hi)
-    if not (slope(b_lo) < 0.0 < slope(b_hi)):
-        b_lo, b_hi = lo, hi
-    c = bisect_sign(slope, b_lo, b_hi, 80, width=1e-15 * (1.0 + hi - lo))
-    return c, f(c)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = _offset_root(a, pv, float(np.mean(a)))
+        return c, float(_power_sum(c - a, pv))
 
 
 class _Counter:
@@ -221,6 +214,26 @@ class _Counter:
 
     def __init__(self):
         self.n = 0
+
+
+def _offset_root(a: np.ndarray, pv: float, start: float,
+                 counter: _Counter | None = None) -> float:
+    """c*: the root of the offset slope ``sum sign(c - a_j)|c - a_j|^(p-1)``,
+    which increases in c, by :func:`_newton_sign` from ``start`` clipped to
+    [min a, max a].  Each iteration adds one to ``counter`` when one is
+    given.  The caller sets ``np.errstate``: for p < 2 a zero residual makes
+    the curvature nan, and that step bisects."""
+    lo, hi = float(np.min(a)), float(np.max(a))
+    if lo == hi:
+        return lo
+
+    def fd(c):
+        if counter is not None:
+            counter.n += 1
+        r = c - a
+        return float(_slope_sum(r, pv)), (pv - 1.0) * float(_curvature_sum(r, pv))
+
+    return _newton_sign(fd, lo, hi, min(max(start, lo), hi))
 
 
 def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
@@ -339,20 +352,6 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
                    & (scan_values < np.roll(scan_values, -1)))
         starts = [int(idx) for idx in order if minimum[idx]]
 
-    def profile(theta: float) -> float:
-        a = np.sort(_offsets(arr, math.cos(theta), math.sin(theta)))
-        lo, hi = float(a[0]), float(a[-1])
-        if lo == hi:
-            return 0.0
-
-        def f(c):
-            counter.n += 1
-            return float(_power_sum(c - a, pv))
-
-        _, value = golden_section(f, lo, hi, tol=_C_TOL * (1.0 + hi - lo),
-                                  max_iters=2 * _REFINE_ITERS)
-        return value
-
     def profile_slope(theta: float) -> float:
         # envelope derivative: df/dtheta at the inner-optimal offset
         c, _ = best_offset_for_direction(arr, theta, pn)
@@ -381,25 +380,20 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
         value = float(_power_sum(arr @ n - c, pv))
         return value, UnitLine(alpha, c)
 
-    # Newton refinement, in the frame centred on the centroid
+    # Newton refinement, in the frame centred on the centroid; each offset
+    # search starts from the last one's root
     step = math.pi / _THETA_SAMPLES
     centre = arr.mean(axis=0)
     centred = arr - centre
     pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
     c_prev = 0.0
 
-    def offset(a: np.ndarray) -> float:
-        # c*: the root of the offset slope, which increases in c
-        lo, hi = float(np.min(a)), float(np.max(a))
-        if lo == hi:
-            return lo
-
-        def fd(c):
-            counter.n += 1
-            r = c - a
-            return float(_slope_sum(r, pv)), (pv - 1.0) * float(_curvature_sum(r, pv))
-
-        return _newton_sign(fd, lo, hi, min(max(c_prev, lo), hi))
+    def profile(theta: float) -> float:
+        # theta -> min_c f, the golden-section fallback's objective
+        nonlocal c_prev
+        a = _offsets(centred, math.cos(theta), math.sin(theta))
+        c_prev = _offset_root(a, pv, c_prev, counter)
+        return float(_power_sum(c_prev - a, pv))
 
     def profile_derivatives(theta: float) -> tuple[float, float]:
         # first and second derivative of theta -> min_c f(theta, c)
@@ -408,7 +402,7 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         a = _offsets(centred, cos_t, sin_t)
         b = _offsets(centred, -sin_t, cos_t)
-        c_prev = offset(a)
+        c_prev = _offset_root(a, pv, c_prev, counter)
         r = c_prev - a
         q = int(np.argmin(np.abs(r)))
         if abs(r[q]) <= pin:

@@ -10,8 +10,9 @@ the stdout of ``lpline verify --quick``, of the full ``lpline verify`` and
 of ``lpline solve`` on the triangle at six exponents, of a 2000-step
 ``lpline sweep`` file and of the ``lpline render`` SVG in each regime.  A
 change that is meant to keep outputs must pass these tests unchanged.  A
-change that alters outputs on purpose lists the entries that would change
-with
+change that alters outputs on purpose lists the entries that would change,
+each with the largest relative change among its floats and its old -> new
+line count (or ``hash`` for a sha256 entry), with
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
@@ -25,6 +26,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -229,12 +231,26 @@ def test_minimize(golden, case):
     assert minimize_entry(case) == golden["minimize"][case]
 
 
-@pytest.mark.parametrize("case", list(MINIMIZE_CASES))
-def test_minimize_raises_no_warning(case):
+def _minimize_call(case: str):
     shape, p = MINIMIZE_CASES[case]
+    return lambda: minimize(MINIMIZE_SHAPES[shape](), p)
+
+
+# every golden minimize case, and the offset solve where its sums overflow
+# and where its root sits on a data point (an infinite curvature term)
+NO_WARNING_CASES = {
+    **{case: _minimize_call(case) for case in MINIMIZE_CASES},
+    "best_offset-x1e3-p100": lambda: best_offset_for_direction(1e3 * _cloud(), CLOUD_THETA, 100),
+    "best_offset-on-point-p1.5": lambda: best_offset_for_direction(
+        [(0.0, -1.0), (0.0, 0.0), (0.0, 1.0)], math.pi / 2, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_WARNING_CASES))
+def test_minimize_raises_no_warning(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        minimize(MINIMIZE_SHAPES[shape](), p)
+        NO_WARNING_CASES[case]()
 
 
 @pytest.mark.parametrize("case", EXACT_CASES)
@@ -282,9 +298,48 @@ def changed_entries(old: dict, new: dict) -> list[str]:
             if old.get(section, {}).get(key) != new.get(section, {}).get(key)]
 
 
+def _relative_changes(old, new, field: str = "") -> list[tuple[float, str]]:
+    """(relative change, top-level field) of every float that sits at the
+    same place in two encoded entries; lists of different lengths are not
+    paired."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [x for key in sorted(old.keys() & new.keys())
+                for x in _relative_changes(old[key], new[key], field or key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [x for a, b in zip(old, new) for x in _relative_changes(a, b, field)]
+    if isinstance(old, str) and isinstance(new, str) and old != new:
+        try:
+            a, b = float.fromhex(old), float.fromhex(new)
+        except ValueError:
+            return []
+        return [(abs(b - a) / abs(a) if a != 0.0 else math.inf, field)]
+    return []
+
+
+def describe_change(entry: str, old, new) -> str:
+    """One line for a changed entry: the largest relative change among its
+    floats and its old -> new line count, or ``hash`` for a sha256 entry."""
+    if "sha256" in entry:
+        return f"{entry}  hash"
+    parts = [entry]
+    largest = max(_relative_changes(old, new), default=None)
+    if largest is None:
+        parts.append("no paired float")
+    else:
+        change, field = largest
+        parts.append(f"max rel {change:.2g}" + (f" ({field})" if field else ""))
+    if isinstance(old, dict) and isinstance(new, dict) and "lines" in old.keys() & new.keys():
+        parts.append(f"lines {len(old['lines'])} -> {len(new['lines'])}")
+    return "  ".join(parts)
+
+
 if __name__ == "__main__":
     if "--diff" in sys.argv[1:]:
-        print("\n".join(changed_entries(json.loads(GOLDEN.read_text()), record())))
+        old, new = json.loads(GOLDEN.read_text()), record()
+        for entry in changed_entries(old, new):
+            section, key = entry.split("/", 1)
+            print(describe_change(entry, old.get(section, {}).get(key),
+                                  new.get(section, {}).get(key)))
     else:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")

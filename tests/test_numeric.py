@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpline import (
@@ -22,6 +22,7 @@ from lpline import (
 )
 from lpline import numeric
 from lpline.exact import DegenerateInputError
+from lpline.geometry import _offsets, _slope_sum
 from lpline.numeric import bisect_sign, golden_section
 from lpline.triangle import canonical_triangle, side_parallel_offset, side_parallel_value
 
@@ -81,6 +82,25 @@ class TestBestOffset:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="exact solver"):
             best_offset_for_direction(TRI, 0.0, "inf")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(3, 40),
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.floats(1.01, 100.0),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        shift=st.floats(-1e4, 1e4),
+        theta=st.floats(0.0, math.pi),
+    )
+    def test_offset_is_a_float_resolution_root(self, m, seed, p, scale, shift, theta):
+        # the offset slope changes sign within a few ulps of the largest
+        # offset around the returned c
+        pts = scale * np.random.default_rng(seed).standard_normal((m, 2)) + shift
+        c, value = best_offset_for_direction(pts, theta, p)
+        assume(math.isfinite(value))
+        a = _offsets(pts, math.cos(theta), math.sin(theta))
+        res = 4.0 * np.finfo(float).eps * float(np.max(np.abs(a)))
+        assert _slope_sum(c - res - a, p) <= 0.0 <= _slope_sum(c + res - a, p)
 
 
 class TestMinimize:
@@ -244,10 +264,12 @@ class TestRefinement:
                 for image in (UnitLine(g.theta + beta, g.c), UnitLine(beta - g.theta, g.c)):
                     assert min(line_param_distance(image, h) for h in lines) < 1e-9
 
-    @pytest.mark.parametrize("points, p", [(TRI, 1.5), (regular_polygon(9), 3.0)],
-                             ids=["triangle-p1.5", "9-gon-p3"])
+    @pytest.mark.parametrize("points, p", [(TRI, 1.5), (regular_polygon(9), 3.0), (TRI, "4/3")],
+                             ids=["triangle-p1.5", "9-gon-p3", "triangle-p4/3"])
     def test_evaluations_stay_bounded(self, points, p):
-        # the theta scan alone spends 720 lanes x 62 evaluations = 44 640
+        # the theta scan alone spends 720 lanes x 62 evaluations = 44 640; at
+        # p = 4/3 the scan flags the family and 8 starts fall back to golden
+        # section in theta
         assert minimize(points, p).evaluations <= 50_000
 
     @settings(max_examples=40, deadline=None, derandomize=True)
