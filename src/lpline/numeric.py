@@ -4,12 +4,12 @@ The objective ``f(theta, c) = sum_j |c - a_j(theta)|^p`` with
 ``a_j(theta) = <n(theta), p_j>`` is convex in ``c`` for every fixed direction.
 The outer problem over ``theta`` is non-convex, and symmetric inputs have
 whole orbits of global minimizers (2n lines for some regular n-gons).  A
-dense scan of ``theta`` (golden-section search in ``c`` on every lane) brackets
-every local minimum of the profile ``theta -> min_c f``, and each is refined
-by safeguarded Newton on the profile's slope.  Every optimal offset c*(theta)
-for p > 1, in the refinement and in :func:`best_offset_for_direction`, is
-the root of the monotone offset slope found by one safeguarded Newton
-search, :func:`_offset_root`.
+dense scan of ``theta`` brackets every local minimum of the profile
+``theta -> min_c f``, and each is refined by safeguarded Newton on the
+profile's slope.  Every optimal offset c*(theta) for p > 1 is the root of the
+monotone offset slope found by safeguarded Newton: on all scan lanes at once
+in :func:`_scan_values`, and one direction at a time, in the refinement and
+in :func:`best_offset_for_direction`, by :func:`_offset_root`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,14 @@ MIN_THETA_SEPARATION = math.pi / 36.0
 # scan arcs agreeing with the optimum at this relative level flag a family
 _DEGENERATE_RTOL = 1e-8
 _DEGENERATE_ARCS = 12
-# theta scan: lanes over [0, pi), and golden steps per lane and per refinement
+# theta scan: lanes over [0, pi)
 _THETA_SAMPLES = 720
-_REFINE_ITERS = 60
+# scan start: the mean offset (the root at p = 2) up to this p, the midrange
+# (the root as p -> inf) above
+_MEAN_START_P = 4.0
+# for p < 2 a scan lane linearizes the slope term of its nearest offset when
+# that term carries more than this share of the curvature
+_KINK_SHARE = 0.25
 # refinement: the tie tolerance (relative), and the starts refined when the
 # scan already shows a family
 _VALUE_TOL = 1e-10
@@ -72,15 +77,12 @@ class SolveReport:
     line through two points, the balancing terms sit below float resolution
     and the reported defect stays O(1) even though the line is exact.
 
-    ``evaluations`` counts the objective evaluations of the theta scan (one
-    per scan lane and step); each profile-slope evaluation of the Newton
-    refinement; each Newton iteration of the inner offset searches, both of
-    that refinement and of the profile values of the golden-section
-    refinement where a start falls back to it; each envelope-slope call of
-    that fallback; and each through-point slope call of the kink snap.  The
+    ``evaluations`` counts the Newton rounds of the theta scan (one per lane
+    and round, while the lane runs); each profile-slope evaluation of the
+    Newton refinement and each Newton iteration of its inner offset
+    searches; and each through-point slope call of the kink snap.  The
     offset solves of :func:`best_offset_for_direction` (the final offset of
-    every refined line, and those inside the envelope-slope calls) are not
-    counted.
+    every refined line) are not counted.
     """
 
     optimal: OptimalSet
@@ -238,49 +240,75 @@ def _offset_root(a: np.ndarray, pv: float, start: float,
 
 def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
                  iters: int, counter: _Counter) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section over c, run for every theta in parallel."""
+    """(c*, sum |c* - a_j|^p) on every lane theta: the offset slope's root by
+    safeguarded Newton on all lanes at once, as in :func:`_newton_sign` (a
+    step only inside the sign bracket and at most half the step before last,
+    else bisection), from the mean offset (the midrange above
+    ``_MEAN_START_P``).  For p < 2, where the nearest offset's term carries
+    more than ``_KINK_SHARE`` of the curvature, the step is Newton's in
+    u = sign(t)|t|^(p-1) of that residual t, in which the term is linear.  A
+    lane stops on an exact 0, when its bracket is within eps * max|a| or its
+    step within twice that, or after ``iters`` rounds; each round adds one
+    per running lane to ``counter``.  The sums run on residuals divided by
+    the largest one, so they stay finite."""
     a = arr @ np.stack([np.cos(thetas), np.sin(thetas)])  # (m, T)
-    lo = a.min(axis=0)
-    hi = a.max(axis=0)
-
-    def fvec(c):
-        counter.n += len(thetas)
-        return _power_sum(c[None, :] - a, pv)
-
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fvec(x1), fvec(x2)
+    a_min, a_max = a.min(axis=0), a.max(axis=0)
+    c = (np.clip(a.mean(axis=0), a_min, a_max) if pv <= _MEAN_START_P
+         else 0.5 * (a_min + a_max))
+    resolution = _EPS * np.maximum(np.abs(a_min), np.abs(a_max))
+    # the running lanes: bracket, iterate, offset range, resolution
+    lane = np.flatnonzero(a_max - a_min > resolution)
+    lo, hi, x, a_lo, a_hi, tol = (v[lane] for v in (a_min, a_max, c, a_min, a_max, resolution))
+    off = a[:, lane]
+    last = before = hi - lo
+    q = pv - 1.0
     for _ in range(iters):
-        keep_low = f1 <= f2
-        # keep_low lanes shrink to [lo, x2] and reuse x1 as the new x2;
-        # the rest shrink to [x1, hi] and reuse x2 as the new x1
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, lo, x1)
-        new_x1 = np.where(keep_low, hi - _INV_PHI * (hi - lo), x2)
-        new_x2 = np.where(keep_low, x1, lo + _INV_PHI * (hi - lo))
-        carried_f1 = f2
-        carried_f2 = f1
-        xq = np.where(keep_low, new_x1, new_x2)
-        fq = fvec(xq)
-        f1 = np.where(keep_low, fq, carried_f1)
-        f2 = np.where(keep_low, carried_f2, fq)
-        x1, x2 = new_x1, new_x2
-    best_first = f1 <= f2
-    c = np.where(best_first, x1, x2)
-    values = np.where(best_first, f1, f2)
-    return c, values
+        if lane.size == 0:
+            break
+        counter.n += lane.size
+        w = 1.0 / np.maximum(x - a_lo, a_hi - x)
+        r = (x - off) * w
+        f = _slope_sum(r, pv)
+        curvature = _curvature_sum(r, pv)
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        new = x - f / (q * w * curvature)
+        if pv < 2.0:
+            cols = np.arange(lane.size)
+            near = np.argmin(np.abs(r), axis=0)
+            t = r[near, cols]
+            share = _curvature_sum(t[None, :], pv) / curvature
+            # on an offset (t = 0, share nan) du/df is 1 / (offsets there)
+            zeros = np.count_nonzero(r == 0.0, axis=0)
+            u = _slope_sum(t[None, :], pv) - f * np.where(zeros > 0, 1.0 / np.maximum(zeros, 1), share)
+            linear = off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w
+            new = np.where(share <= _KINK_SHARE, new, linear)
+        step = np.abs(x - new)
+        newton = (lo <= new) & (new <= hi) & (step <= 0.5 * before)
+        before, last = last, np.where(newton, step, 0.5 * (hi - lo))
+        done = (f == 0.0) | (hi - lo <= tol) | (step <= 2.0 * tol)
+        x = np.where(newton, new, np.where(done, x, 0.5 * (lo + hi)))
+        if done.any():
+            c[lane[done]] = x[done]
+            run = ~done
+            lane, lo, hi, x, a_lo, a_hi, tol, last, before = (
+                v[run] for v in (lane, lo, hi, x, a_lo, a_hi, tol, last, before))
+            off = off[:, run]
+    c[lane] = x
+    return c, _power_sum(c - a, pv)
 
 
 def minimize(points, p) -> SolveReport:
     """Global line minimization for finite p in (1, inf).
 
-    Scans ``theta`` over [0, pi) and refines every circular local minimum of
-    the scan inside its lane's bracket by safeguarded Newton on the profile
-    slope, in the frame centred on the centroid.  Where the profile slope
-    does not change sign in the bracket, and for the best well-separated
-    starts that replace the local minima when the scan already shows a
-    family, the start is refined by golden-section over theta instead.  Each
-    refined line then takes its offset and value from
+    Scans ``theta`` over [0, pi), solving every lane's offset to float
+    resolution, and refines every circular local minimum of the scan inside
+    its lane's bracket by safeguarded Newton on the profile slope, in the
+    frame centred on the centroid.  When the scan already shows a family,
+    the best well-separated lanes are the starts instead.  A start whose
+    profile slope does not change sign in its bracket keeps its lane's
+    direction.  Each line then takes its offset and value from
     :func:`best_offset_for_direction` on the input, may snap to a line
     through one or two points, and all distinct lines tying with the best
     value are returned.  A wide spread of near-optimal directions marks a
@@ -321,7 +349,7 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     pv = pn.value
 
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
-    scan_c, scan_values = _scan_values(arr, thetas, pv, _REFINE_ITERS, counter)
+    scan_c, scan_values = _scan_values(arr, thetas, pv, _NEWTON_ITERS, counter)
 
     # family test: how many well-separated scan arcs tie a value
     arcs = np.minimum((thetas / MIN_THETA_SEPARATION).astype(int), 35)
@@ -351,12 +379,6 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
         minimum = ((scan_values <= np.roll(scan_values, 1))
                    & (scan_values < np.roll(scan_values, -1)))
         starts = [int(idx) for idx in order if minimum[idx]]
-
-    def profile_slope(theta: float) -> float:
-        # envelope derivative: df/dtheta at the inner-optimal offset
-        c, _ = best_offset_for_direction(arr, theta, pn)
-        counter.n += 1
-        return objective_gradient(arr, UnitLine(theta, c), pn)[0]
 
     scale = 1.0 + float(np.max(np.abs(arr)))
 
@@ -388,13 +410,6 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
     c_prev = 0.0
 
-    def profile(theta: float) -> float:
-        # theta -> min_c f, the golden-section fallback's objective
-        nonlocal c_prev
-        a = _offsets(centred, math.cos(theta), math.sin(theta))
-        c_prev = _offset_root(a, pv, c_prev, counter)
-        return float(_power_sum(c_prev - a, pv))
-
     def profile_derivatives(theta: float) -> tuple[float, float]:
         # first and second derivative of theta -> min_c f(theta, c)
         nonlocal c_prev
@@ -422,9 +437,9 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
                          + pv * float(_slope_sum(r, pv, a)))
         return slope, curvature
 
-    def newton_theta(idx: int) -> float | None:
-        # the root of the profile slope in the lane's bracket, or None when
-        # the slope does not change sign there
+    def newton_theta(idx: int) -> float:
+        # the root of the profile slope in the lane's bracket, or the lane's
+        # direction when the slope does not change sign there
         nonlocal c_prev
         th0 = float(thetas[idx])
         c0 = float(scan_c[idx] - _offsets(centre[None, :], math.cos(th0), math.sin(th0))[0])
@@ -433,36 +448,15 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
             c_prev = c0
             ends.append(profile_derivatives(end)[0])
         if not ends[0] < 0.0 < ends[1]:
-            return None
+            return th0
         c_prev = c0
         return _newton_sign(profile_derivatives, th0 - step, th0 + step, th0)
 
     refined: list[tuple[float, UnitLine]] = []
     for idx in starts:
-        theta_newton = newton_theta(idx)
-        if theta_newton is not None:
-            candidates = [theta_newton]
-        else:
-            th0 = thetas[idx]
-            theta_golden, _ = golden_section(profile, th0 - step, th0 + step,
-                                             tol=1e-14, max_iters=_REFINE_ITERS)
-            # value-based search stalls at sqrt(eps) near the minimum; bisecting
-            # the slope sign recovers full precision in theta (near p = 1 the
-            # narrow bracket can miss the sign change, so retry at the scan step,
-            # where sign bisection handles even quasi-kinked minima)
-            candidates = [theta_golden]
-            for width in (1e-5, step):
-                t_lo, t_hi = theta_golden - width, theta_golden + width
-                if profile_slope(t_lo) < 0.0 < profile_slope(t_hi):
-                    candidates.append(bisect_sign(profile_slope, t_lo, t_hi, 60))
-                    break
-        value = math.inf
-        theta_star = c_star = None
-        for th in candidates:
-            c_th, v_th = best_offset_for_direction(arr, th, pn)
-            if v_th < value:
-                theta_star, c_star, value = th, c_th, v_th
-        if theta_star is None:
+        theta_star = newton_theta(idx)
+        c_star, value = best_offset_for_direction(arr, theta_star, pn)
+        if not value < math.inf:
             return None
         line = UnitLine(theta_star, c_star)
         near = np.flatnonzero(

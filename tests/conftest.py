@@ -1,7 +1,8 @@
 """Shared test helpers: random and fixed point sets, isometries, family
 members, the brute-force grid oracles, the reference search loops that
-the solver's early stops must reproduce exactly, and the readers and
-distances that only the tests use."""
+the solver's early stops must reproduce exactly, the golden-section theta
+scan that the solver's Newton scan replaced, and the readers and distances
+that only the tests use."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from lpline import (
 )
 from lpline.exact import ParallelStrip, PencilThroughPoint, ReducedCurve
 from lpline.fileio import SWEEP_HEADER, SweepRow
-from lpline.geometry import _as_xy
+from lpline.geometry import _as_xy, _power_sum
 from lpline.numeric import _INV_PHI
 from lpline.triangle import family_member, reduced_to_line
 from lpline.verification import _partial_sum, remainder_coefficients
@@ -270,6 +271,35 @@ def golden_section_reference(f, lo: float, hi: float, tol: float, max_iters: int
     if f1 <= f2:
         return x1, f1
     return x2, f2
+
+
+def golden_scan_reference(arr: np.ndarray, thetas: np.ndarray, pv: float, iters: int):
+    """The theta scan that ``numeric._scan_values`` replaced: golden-section
+    search in c, run on every lane theta at once for ``iters`` steps;
+    returns the (c, value) arrays."""
+    a = arr @ np.stack([np.cos(thetas), np.sin(thetas)])  # (m, T)
+    lo = a.min(axis=0)
+    hi = a.max(axis=0)
+
+    def fvec(c):
+        return _power_sum(c[None, :] - a, pv)
+
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fvec(x1), fvec(x2)
+    for _ in range(iters):
+        keep_low = f1 <= f2
+        # keep_low lanes shrink to [lo, x2] and reuse x1 as the new x2;
+        # the rest shrink to [x1, hi] and reuse x2 as the new x1
+        hi = np.where(keep_low, x2, hi)
+        lo = np.where(keep_low, lo, x1)
+        new_x1 = np.where(keep_low, hi - _INV_PHI * (hi - lo), x2)
+        new_x2 = np.where(keep_low, x1, lo + _INV_PHI * (hi - lo))
+        fq = fvec(np.where(keep_low, new_x1, new_x2))
+        f1, f2 = np.where(keep_low, fq, f2), np.where(keep_low, f1, fq)
+        x1, x2 = new_x1, new_x2
+    best_first = f1 <= f2
+    return np.where(best_first, x1, x2), np.where(best_first, f1, f2)
 
 
 def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.0) -> float:

@@ -11,7 +11,8 @@ of ``lpline solve`` on the triangle at six exponents, of a 2000-step
 ``lpline sweep`` file and of the ``lpline render`` SVG in each regime.  A
 change that is meant to keep outputs must pass these tests unchanged.  A
 change that alters outputs on purpose lists the entries that would change,
-each with the largest relative change among its floats and its old -> new
+each with the largest relative change among its floats, its changed integer
+and flag fields (such as ``evaluations 44894 -> 4988``) and its old -> new
 line count (or ``hash`` for a sha256 entry), with
 
     PYTHONPATH=src python tests/test_golden.py --diff
@@ -50,6 +51,7 @@ from lpline import (
     solve_p2,
     solve_pinf,
 )
+from lpline import numeric
 from lpline.cli import main
 from lpline.triangle import canonical_triangle, triangle_optimal_set
 
@@ -253,6 +255,15 @@ def test_minimize_raises_no_warning(case):
         NO_WARNING_CASES[case]()
 
 
+def test_minimize_runs_no_golden_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize called golden_section")
+
+    monkeypatch.setattr(numeric, "golden_section", refuse)
+    for case in MINIMIZE_CASES:
+        _minimize_call(case)()
+
+
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_exact(golden, case):
     assert exact_entry(case) == golden["exact"][case]
@@ -316,18 +327,30 @@ def _relative_changes(old, new, field: str = "") -> list[tuple[float, str]]:
     return []
 
 
+def _changed_counts(old, new) -> list[str]:
+    """``field old -> new`` for every integer or flag field of two encoded
+    entries that differs."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return []
+    return [f"{key} {old[key]} -> {new[key]}" for key in sorted(old.keys() & new.keys())
+            if isinstance(old[key], int) and isinstance(new[key], int) and old[key] != new[key]]
+
+
 def describe_change(entry: str, old, new) -> str:
     """One line for a changed entry: the largest relative change among its
-    floats and its old -> new line count, or ``hash`` for a sha256 entry."""
+    floats, its changed integer and flag fields and its old -> new line
+    count, or ``hash`` for a sha256 entry."""
     if "sha256" in entry:
         return f"{entry}  hash"
     parts = [entry]
     largest = max(_relative_changes(old, new), default=None)
-    if largest is None:
-        parts.append("no paired float")
-    else:
+    counts = _changed_counts(old, new)
+    if largest is not None:
         change, field = largest
         parts.append(f"max rel {change:.2g}" + (f" ({field})" if field else ""))
+    elif not counts:
+        parts.append("no paired float")
+    parts.extend(counts)
     if isinstance(old, dict) and isinstance(new, dict) and "lines" in old.keys() & new.keys():
         parts.append(f"lines {len(old['lines'])} -> {len(new['lines'])}")
     return "  ".join(parts)
