@@ -47,6 +47,8 @@ __all__ = [
 _TIE_RTOL = 1e-12
 # relative eigenvalue-gap tolerance for declaring the scatter isotropic
 TOL_ISO = 1e-9
+# offsets scored at once by solve_pinf
+_PAIR_BLOCK = 1 << 16
 
 
 class DegenerateInputError(ValueError):
@@ -189,21 +191,24 @@ def solve_pinf(points) -> OptimalSet:
 
     For every point pair take the pair direction, compute the extreme signed
     offsets over all points, and place a candidate line at the middle offset;
-    its value is half the offset spread.
+    its value is half the offset spread.  The pairs are scored as arrays,
+    ``_PAIR_BLOCK`` offsets at a time, and only the candidates that can tie
+    the best become lines, in pair order, for :func:`_ties`.
     """
     arr = _check_points(points)
-
-    candidates: list[tuple[float, UnitLine]] = []
-    for i, j in combinations(range(len(arr)), 2):
-        dx, dy = arr[j] - arr[i]
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            continue
-        nx, ny = -dy / norm, dx / norm
-        offsets = _offsets(arr, nx, ny)
-        lo, hi = float(np.min(offsets)), float(np.max(offsets))
-        g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
-        candidates.append((0.5 * (hi - lo), g))
-
-    best, lines = _ties(candidates)
+    first, second = np.triu_indices(len(arr), 1)
+    d = arr[second] - arr[first]
+    norm = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
+    d, norm = d[norm != 0.0], norm[norm != 0.0]
+    nx, ny = -d[:, 1] / norm, d[:, 0] / norm
+    lo, hi = np.empty_like(nx), np.empty_like(nx)
+    size = max(1, _PAIR_BLOCK // len(arr))
+    for k in range(0, len(nx), size):
+        offsets = _offsets(arr, nx[k:k + size, None], ny[k:k + size, None])
+        lo[k:k + size], hi[k:k + size] = offsets.min(axis=1), offsets.max(axis=1)
+    values, mids = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    best = min(values.tolist())
+    near = (values <= best + _TIE_RTOL * (1.0 + abs(best))) | math.isnan(best)
+    best, lines = _ties([(v, canonicalize(UnitLine(math.atan2(y, x), c))) for v, x, y, c
+                         in zip(*(u[near].tolist() for u in (values, nx, ny, mids)))])
     return OptimalSet(best, tuple(lines))

@@ -5,11 +5,9 @@ The objective ``f(theta, c) = sum_j |c - a_j(theta)|^p`` with
 The outer problem over ``theta`` is non-convex, and symmetric inputs have
 whole orbits of global minimizers (2n lines for some regular n-gons).  A
 dense scan of ``theta`` brackets every local minimum of the profile
-``theta -> min_c f``, and each is refined by safeguarded Newton on the
-profile's slope.  Every optimal offset c*(theta) for p > 1 is the root of the
-monotone offset slope found by safeguarded Newton: on all scan lanes at once
-in :func:`_scan_values`, and one direction at a time, in the refinement and
-in :func:`best_offset_for_direction`, by :func:`_offset_root`.
+``theta -> min_c f``, all of them refined at once on the profile's slope.
+One lane-parallel safeguarded Newton kernel, :func:`_newton_lanes`, finds
+every root: each refined theta, and by :func:`_offset_roots` every c*(theta).
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .geometry import (
     _curvature_sum,
     _offsets,
     _power_sum,
+    _slope_curvature_terms,
     _slope_sum,
 )
 from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
@@ -77,12 +76,9 @@ class SolveReport:
     line through two points, the balancing terms sit below float resolution
     and the reported defect stays O(1) even though the line is exact.
 
-    ``evaluations`` counts the Newton rounds of the theta scan (one per lane
-    and round, while the lane runs); each profile-slope evaluation of the
-    Newton refinement and each Newton iteration of its inner offset
-    searches; and each through-point slope call of the kink snap.  The
-    offset solves of :func:`best_offset_for_direction` (the final offset of
-    every refined line) are not counted.
+    ``evaluations`` counts one per lane and round of every Newton search (the
+    scan's offsets, the refinement's theta and its offsets, including the
+    final offsets on the input) and one per slope evaluation of the snap.
     """
 
     optimal: OptimalSet
@@ -148,51 +144,13 @@ def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> floa
     return 0.5 * (lo + hi)
 
 
-def _newton_sign(fd, lo: float, hi: float, x: float) -> float:
-    """Root of an increasing ``f`` between ``lo`` (f < 0) and ``hi`` (f > 0),
-    searched from ``x`` by safeguarded Newton (``rtsafe``).
-
-    ``fd(x)`` returns ``(f(x), f'(x))``, and each call narrows the sign
-    bracket.  The Newton step is taken only when it lands inside the bracket
-    and is at most half the step before last; otherwise the bracket is
-    bisected, so a slope that Newton crosses only a fraction of the way per
-    step (large p) still converges.  Stops on an exact 0, when the Newton step
-    no longer moves ``x``, when no float at the scale of the initial bracket
-    is left inside the bracket, or after ``_NEWTON_ITERS`` calls.
-    """
-    resolution = _EPS * max(abs(lo), abs(hi))
-    last = before = hi - lo
-    for _ in range(_NEWTON_ITERS):
-        f, df = fd(x)
-        if f == 0.0:
-            break
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= resolution:
-            break
-        step = f / df if 0.0 < df < math.inf else math.nan
-        new = x - step
-        if new == x:
-            break
-        if lo < new < hi and abs(step) <= 0.5 * abs(before):
-            before, last = last, step
-        else:
-            new = 0.5 * (lo + hi)
-            before, last = last, 0.5 * (hi - lo)
-        x = new
-    return x
-
-
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
     """Optimal signed offset and value for a fixed direction.
 
-    For p > 1, ``c -> sum |c - a_j|^p`` is strictly convex, and its optimum
-    is the root of its monotone slope: :func:`_offset_root`, started from the
-    mean offset, to float resolution.  Sums that overflow give an infinite
-    value and no numpy warning.  For p = 1 the exact answer is a median of
-    the offsets.
+    For p > 1, ``c -> sum |c - a_j|^p`` is strictly convex; its optimum is
+    the root of its slope, from :func:`_offset_roots` on one lane started at
+    the mean offset, to float resolution.  A value that overflows is inf,
+    with no numpy warning.  For p = 1 the exact answer is a median offset.
     """
     pn = PNorm.coerce(p)
     if pn.is_inf:
@@ -206,96 +164,106 @@ def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
         a = np.sort(a)
         c = float(a[(len(a) - 1) // 2])
         return c, float(_power_sum(c - a, 1.0))
+    a = a[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = _offset_root(a, pv, float(np.mean(a)))
-        return c, float(_power_sum(c - a, pv))
+        c = _offset_roots(a, pv, a.mean(axis=0), _NEWTON_ITERS, _Counter())
+        return float(c[0]), float(_power_sum(c - a, pv)[0])
 
 
+@dataclass
 class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
+    n: int = 0
 
 
-def _offset_root(a: np.ndarray, pv: float, start: float,
-                 counter: _Counter | None = None) -> float:
-    """c*: the root of the offset slope ``sum sign(c - a_j)|c - a_j|^(p-1)``,
-    which increases in c, by :func:`_newton_sign` from ``start`` clipped to
-    [min a, max a].  Each iteration adds one to ``counter`` when one is
-    given.  The caller sets ``np.errstate``: for p < 2 a zero residual makes
-    the curvature nan, and that step bisects."""
-    lo, hi = float(np.min(a)), float(np.max(a))
-    if lo == hi:
-        return lo
+def _newton_lanes(fd, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, iters: int,
+                  counter: _Counter, *aux: np.ndarray) -> np.ndarray:
+    """The root of an increasing function on each lane, between ``lo``
+    (f < 0) and ``hi`` (f > 0), by safeguarded Newton (``rtsafe``) from ``x``.
+    ``fd(x, *aux)`` returns (f, Newton iterate, *aux) on the running lanes,
+    where ``aux`` are per-lane arrays (lanes last).  A lane takes its iterate
+    only inside its sign bracket and at most half the step before last, else
+    bisects.  It stops on an exact 0, when its bracket is within eps times
+    its larger end or its step within twice that (a step at rounding noise
+    would creep an ulp at a time), or after ``iters`` rounds.  Each round
+    adds one per running lane to ``counter``."""
+    out, lane = x.copy(), np.arange(x.size)
+    tol = _EPS * np.maximum(np.abs(lo), np.abs(hi))
+    last = before = hi - lo
+    done = before <= tol
+    for _ in range(iters):
+        if done.any():
+            out[lane[done]] = x[done]
+            run = ~done
+            lane, lo, hi, x, tol, last, before = (
+                v[run] for v in (lane, lo, hi, x, tol, last, before))
+            aux = [v[..., run] for v in aux]
+        if lane.size == 0:
+            break
+        counter.n += lane.size
+        f, new, *aux = fd(x, *aux)
+        below = f < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        width = hi - lo
+        step = np.abs(x - new)
+        newton = (lo <= new) & (new <= hi) & (step <= 0.5 * before)
+        before, last = last, np.where(newton, step, 0.5 * width)
+        done = (f == 0.0) | (width <= tol) | (step <= 2.0 * tol)
+        x = np.where(newton, new, np.where(done, x, 0.5 * (lo + hi)))
+    out[lane] = x
+    return out
 
-    def fd(c):
-        if counter is not None:
-            counter.n += 1
-        r = c - a
-        return float(_slope_sum(r, pv)), (pv - 1.0) * float(_curvature_sum(r, pv))
 
-    return _newton_sign(fd, lo, hi, min(max(start, lo), hi))
+def _offset_roots(a: np.ndarray, pv: float, start: np.ndarray, iters: int,
+                  counter: _Counter) -> np.ndarray:
+    """c* on each lane (column) of the offsets ``a``: the root of the offset
+    slope by :func:`_newton_lanes` in [min a, max a] from ``start``, on
+    residuals divided by the largest one, so no sum overflows.  For p < 2,
+    where the nearest offset's term carries over ``_KINK_SHARE`` of the
+    curvature, the iterate is Newton's in u = sign(t)|t|^(p-1) of that
+    residual t, in which that term is linear.  The caller sets np.errstate."""
+    a_min, a_max = a.min(axis=0), a.max(axis=0)
+    q = pv - 1.0
+    # residuals and three work arrays for the running lanes, reused every round
+    work = np.empty((4,) + a.shape[::-1]).transpose(0, 2, 1)
+
+    def fd(x, off, a_lo, a_hi):
+        r, mag, sign, terms = work[:, :, :x.size]
+        w = 1.0 / np.maximum(x - a_lo, a_hi - x)
+        np.subtract(x, off, out=r)
+        r *= w
+        slope_terms, curvature_terms = _slope_curvature_terms(r, pv, (mag, sign, terms))
+        f, curvature = np.add.reduce(slope_terms, axis=0), np.add.reduce(curvature_terms, axis=0)
+        new = x - f / (q * w * curvature)
+        if pv < 2.0:
+            cols = np.arange(x.size)
+            near = np.argmin(np.abs(r, out=sign), axis=0)
+            share = curvature_terms[near, cols] / curvature
+            kink = ~(share <= _KINK_SHARE)
+            if kink.any():
+                t = r[near, cols]
+                if not t.all():
+                    # on an offset (t = 0, share nan) du/df is 1 / (offsets there)
+                    share = np.where(t == 0.0, 1.0 / np.maximum(
+                        np.count_nonzero(r == 0.0, axis=0), 1), share)
+                u = slope_terms[near, cols] - f * share
+                new = np.where(kink, off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w,
+                               new)
+        return f, new, off, a_lo, a_hi
+
+    return _newton_lanes(fd, a_min, a_max, np.minimum(np.maximum(start, a_min), a_max), iters,
+                         counter, a, a_min, a_max)
 
 
 def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
                  iters: int, counter: _Counter) -> tuple[np.ndarray, np.ndarray]:
-    """(c*, sum |c* - a_j|^p) on every lane theta: the offset slope's root by
-    safeguarded Newton on all lanes at once, as in :func:`_newton_sign` (a
-    step only inside the sign bracket and at most half the step before last,
-    else bisection), from the mean offset (the midrange above
-    ``_MEAN_START_P``).  For p < 2, where the nearest offset's term carries
-    more than ``_KINK_SHARE`` of the curvature, the step is Newton's in
-    u = sign(t)|t|^(p-1) of that residual t, in which the term is linear.  A
-    lane stops on an exact 0, when its bracket is within eps * max|a| or its
-    step within twice that, or after ``iters`` rounds; each round adds one
-    per running lane to ``counter``.  The sums run on residuals divided by
-    the largest one, so they stay finite."""
+    """(c*, sum |c* - a_j|^p) on every lane theta, from one
+    :func:`_offset_roots` call of at most ``iters`` rounds started at the
+    mean offset (the midrange above ``_MEAN_START_P``)."""
     a = arr @ np.stack([np.cos(thetas), np.sin(thetas)])  # (m, T)
-    a_min, a_max = a.min(axis=0), a.max(axis=0)
-    c = (np.clip(a.mean(axis=0), a_min, a_max) if pv <= _MEAN_START_P
-         else 0.5 * (a_min + a_max))
-    resolution = _EPS * np.maximum(np.abs(a_min), np.abs(a_max))
-    # the running lanes: bracket, iterate, offset range, resolution
-    lane = np.flatnonzero(a_max - a_min > resolution)
-    lo, hi, x, a_lo, a_hi, tol = (v[lane] for v in (a_min, a_max, c, a_min, a_max, resolution))
-    off = a[:, lane]
-    last = before = hi - lo
-    q = pv - 1.0
-    for _ in range(iters):
-        if lane.size == 0:
-            break
-        counter.n += lane.size
-        w = 1.0 / np.maximum(x - a_lo, a_hi - x)
-        r = (x - off) * w
-        f = _slope_sum(r, pv)
-        curvature = _curvature_sum(r, pv)
-        below = f < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        new = x - f / (q * w * curvature)
-        if pv < 2.0:
-            cols = np.arange(lane.size)
-            near = np.argmin(np.abs(r), axis=0)
-            t = r[near, cols]
-            share = _curvature_sum(t[None, :], pv) / curvature
-            # on an offset (t = 0, share nan) du/df is 1 / (offsets there)
-            zeros = np.count_nonzero(r == 0.0, axis=0)
-            u = _slope_sum(t[None, :], pv) - f * np.where(zeros > 0, 1.0 / np.maximum(zeros, 1), share)
-            linear = off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w
-            new = np.where(share <= _KINK_SHARE, new, linear)
-        step = np.abs(x - new)
-        newton = (lo <= new) & (new <= hi) & (step <= 0.5 * before)
-        before, last = last, np.where(newton, step, 0.5 * (hi - lo))
-        done = (f == 0.0) | (hi - lo <= tol) | (step <= 2.0 * tol)
-        x = np.where(newton, new, np.where(done, x, 0.5 * (lo + hi)))
-        if done.any():
-            c[lane[done]] = x[done]
-            run = ~done
-            lane, lo, hi, x, a_lo, a_hi, tol, last, before = (
-                v[run] for v in (lane, lo, hi, x, a_lo, a_hi, tol, last, before))
-            off = off[:, run]
-    c[lane] = x
+    start = (a.mean(axis=0) if pv <= _MEAN_START_P
+             else 0.5 * (a.min(axis=0) + a.max(axis=0)))
+    # each lane's offsets contiguous, so that its sums run pairwise
+    c = _offset_roots(np.asfortranarray(a), pv, start, iters, counter)
     return c, _power_sum(c - a, pv)
 
 
@@ -303,16 +271,12 @@ def minimize(points, p) -> SolveReport:
     """Global line minimization for finite p in (1, inf).
 
     Scans ``theta`` over [0, pi), solving every lane's offset to float
-    resolution, and refines every circular local minimum of the scan inside
-    its lane's bracket by safeguarded Newton on the profile slope, in the
-    frame centred on the centroid.  When the scan already shows a family,
-    the best well-separated lanes are the starts instead.  A start whose
-    profile slope does not change sign in its bracket keeps its lane's
-    direction.  Each line then takes its offset and value from
-    :func:`best_offset_for_direction` on the input, may snap to a line
-    through one or two points, and all distinct lines tying with the best
-    value are returned.  A wide spread of near-optimal directions marks a
-    one-parameter optimal family.
+    resolution, and refines every circular local minimum of the scan at once
+    inside its lane's bracket (:func:`_refine`); when the scan already shows
+    a family, the best well-separated lanes are the starts instead.  Each line
+    takes its offset and value on the input, may snap to a line through one
+    or two points, and all distinct lines tying with the best value are
+    returned.  A wide spread of near-optimal directions marks a family.
 
     If every refined direction overflows, the search reruns on the points
     times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is exact;
@@ -365,20 +329,16 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     order = np.argsort(scan_values, kind="stable")
     if family(float(scan_values[order[0]])):
         starts: list[int] = []
-        for idx in order:
-            th = thetas[idx]
-            sep = min(
-                (min(abs(th - thetas[k]), math.pi - abs(th - thetas[k])) for k in starts),
-                default=math.inf,
-            )
-            if sep >= MIN_THETA_SEPARATION:
-                starts.append(int(idx))
-            if len(starts) >= _MULTISTART_KEEP:
-                break
+        for idx in order.tolist():
+            gaps = (abs(thetas[idx] - thetas[k]) for k in starts)
+            if all(min(gap, math.pi - gap) >= MIN_THETA_SEPARATION for gap in gaps):
+                starts.append(idx)
+                if len(starts) >= _MULTISTART_KEEP:
+                    break
     else:
         minimum = ((scan_values <= np.roll(scan_values, 1))
                    & (scan_values < np.roll(scan_values, -1)))
-        starts = [int(idx) for idx in order if minimum[idx]]
+        starts = order[minimum[order]].tolist()
 
     scale = 1.0 + float(np.max(np.abs(arr)))
 
@@ -402,67 +362,15 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
         value = float(_power_sum(arr @ n - c, pv))
         return value, UnitLine(alpha, c)
 
-    # Newton refinement, in the frame centred on the centroid; each offset
-    # search starts from the last one's root
-    step = math.pi / _THETA_SAMPLES
-    centre = arr.mean(axis=0)
-    centred = arr - centre
-    pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
-    c_prev = 0.0
-
-    def profile_derivatives(theta: float) -> tuple[float, float]:
-        # first and second derivative of theta -> min_c f(theta, c)
-        nonlocal c_prev
-        counter.n += 1
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        a = _offsets(centred, cos_t, sin_t)
-        b = _offsets(centred, -sin_t, cos_t)
-        c_prev = _offset_root(a, pv, c_prev, counter)
-        r = c_prev - a
-        q = int(np.argmin(np.abs(r)))
-        if abs(r[q]) <= pin:
-            # c* sits on point q, where f_c is not resolved: differentiate
-            # the line through q instead (the envelope slope with q's term
-            # eliminated)
-            r = a[q] - a
-            w = b[q] - b
-            slope = pv * float(_slope_sum(r, pv, w))
-            curvature = (pv * (pv - 1.0) * float(_curvature_sum(np.delete(r, q), pv,
-                                                                  np.delete(w, q) ** 2))
-                         - pv * float(_power_sum(r, pv)))
-        else:
-            s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
-            slope = -pv * float(_slope_sum(r, pv, b))
-            curvature = (pv * (pv - 1.0) * float(s2 - s1 * s1 / s0)
-                         + pv * float(_slope_sum(r, pv, a)))
-        return slope, curvature
-
-    def newton_theta(idx: int) -> float:
-        # the root of the profile slope in the lane's bracket, or the lane's
-        # direction when the slope does not change sign there
-        nonlocal c_prev
-        th0 = float(thetas[idx])
-        c0 = float(scan_c[idx] - _offsets(centre[None, :], math.cos(th0), math.sin(th0))[0])
-        ends = []
-        for end in (th0 - step, th0 + step):
-            c_prev = c0
-            ends.append(profile_derivatives(end)[0])
-        if not ends[0] < 0.0 < ends[1]:
-            return th0
-        c_prev = c0
-        return _newton_sign(profile_derivatives, th0 - step, th0 + step, th0)
-
+    theta_star, c_star, values = _refine(arr, pv, thetas, scan_c, starts, counter)
+    if not np.all(values < math.inf):
+        return None
     refined: list[tuple[float, UnitLine]] = []
-    for idx in starts:
-        theta_star = newton_theta(idx)
-        c_star, value = best_offset_for_direction(arr, theta_star, pn)
-        if not value < math.inf:
-            return None
-        line = UnitLine(theta_star, c_star)
-        near = np.flatnonzero(
-            np.abs(arr @ np.array(line.normal()) - c_star) <= 1e-6 * scale)
+    for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist()):
+        line = UnitLine(theta, c)
+        near = np.flatnonzero(np.abs(arr @ np.array(line.normal()) - c) <= 1e-6 * scale)
         if len(near) == 1:
-            snapped = through_point_solution(arr[near[0]], theta_star)
+            snapped = through_point_solution(arr[near[0]], theta)
             if snapped is not None and snapped[0] <= value + 1e-12 * (1.0 + value):
                 value, line = snapped
         elif len(near) >= 2:
@@ -487,6 +395,78 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
 
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
     return best, lines, family(best), residual
+
+
+def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
+                    pin: float, counter: _Counter):
+    """(phi', phi'', c*, dc*/dtheta) of the profile phi = min_c f on each
+    lane theta, with c* from :func:`_offset_roots` warm-started at ``c``.
+    Where c* sits within ``pin`` of a point q, f_c is not resolved, so they
+    are the derivatives along the line through q (q's term eliminated)."""
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    a = _offsets(centred, cos_t, sin_t).T  # (m, lanes), each lane contiguous
+    b = _offsets(centred, -sin_t, cos_t).T
+    c = _offset_roots(a, pv, c, _NEWTON_ITERS, counter)
+    r = c - a
+    s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
+    slope, envelope = -pv * _slope_sum(r[:, None], pv, np.stack([b, a], 1))
+    curvature, dc = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) - envelope, s1 / s0
+    dc = np.where(np.abs(dc) < math.inf, dc, 0.0)  # nan where every weight underflows
+    cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
+    pinned = np.abs(r[q, cols]) <= pin
+    if pinned.any():
+        r, w = a[q, cols] - a, b[q, cols] - b
+        # q's own term (r = w = 0) adds 0 once its residual is taken as 1
+        r_q = np.where(np.arange(len(a))[:, None] == q, 1.0, r)
+        slope = np.where(pinned, pv * _slope_sum(r, pv, w), slope)
+        curvature = np.where(pinned, pv * (pv - 1.0) * _curvature_sum(r_q, pv, w * w)
+                             - pv * _power_sum(r, pv), curvature)
+        dc = np.where(pinned, b[q, cols], dc)
+    return slope, curvature, c, dc
+
+
+def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
+            starts: list[int], counter: _Counter):
+    """(theta*, c*, value) arrays for the start lanes of the scan: theta* is
+    the root of the profile slope in the lane's bracket by :func:`_newton_lanes`
+    on all starts at once, centred on the centroid, or the lane's theta when
+    the slope keeps its sign there; c* and sum |c* - a_j|^p then come from
+    one :func:`_offset_roots` call on the input.  Offsets are warm-started
+    from the last roots, moved along dc*/dtheta."""
+    step, centre = math.pi / len(thetas), arr.mean(axis=0)
+    centred = arr - centre
+    pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
+    idx = np.asarray(starts)
+    th0 = thetas[idx]
+
+    def shift(theta):  # the offset of the centroid
+        return _offsets(centre[None, :], np.cos(theta), np.sin(theta))
+
+    # the bracket ends are the neighbouring scan lanes; lane -1 is lane 719,
+    # and lane 720 lane 0, with the normal and so the offset negated
+    side = np.concatenate([idx - 1, idx + 1])
+    ends = np.concatenate([th0 - step, th0 + step])
+    wrap = np.where((side < 0) | (side >= len(thetas)), -1.0, 1.0)
+    counter.n += ends.size
+    slope, *_ = _profile_slopes(centred, ends, wrap * scan_c[side % len(thetas)] - shift(ends),
+                                pv, pin, counter)
+    bracket = np.flatnonzero((slope[:idx.size] < 0.0) & (0.0 < slope[idx.size:]))
+
+    # per start: the last root, dc*/dtheta there and the theta it was solved at
+    c, dc, at = scan_c[idx] - shift(th0), np.zeros_like(th0), th0.copy()
+
+    def fd(theta, ids):
+        slope, curvature, c[ids], dc[ids] = _profile_slopes(
+            centred, theta, c[ids] + dc[ids] * (theta - at[ids]), pv, pin, counter)
+        at[ids] = theta
+        valid = (0.0 < curvature) & (curvature < math.inf)
+        return slope, np.where(valid, theta - slope / curvature, math.nan), ids
+
+    theta, x = th0.copy(), th0[bracket]
+    theta[bracket] = _newton_lanes(fd, x - step, x + step, x, _NEWTON_ITERS, counter, bracket)
+    a = _offsets(arr, np.cos(theta)[:, None], np.sin(theta)[:, None]).T
+    c = _offset_roots(a, pv, c + dc * (theta - at) + shift(theta), _NEWTON_ITERS, counter)
+    return theta, c, _power_sum(c - a, pv)
 
 
 def solve(points, p) -> OptimalSet:

@@ -1,12 +1,14 @@
 """Shared test helpers: random and fixed point sets, isometries, family
 members, the brute-force grid oracles, the reference search loops that
 the solver's early stops must reproduce exactly, the golden-section theta
-scan that the solver's Newton scan replaced, and the readers and distances
-that only the tests use."""
+scan that the solver's Newton scan replaced, the per-start Newton
+refinement that its lane-parallel refinement replaced, the pair loop of
+``solve_pinf``, and the readers and distances that only the tests use."""
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,11 @@ from lpline import (
     line_through,
     lp_objective,
 )
-from lpline.exact import ParallelStrip, PencilThroughPoint, ReducedCurve
+from lpline.exact import (
+    OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _check_points, _ties)
 from lpline.fileio import SWEEP_HEADER, SweepRow
-from lpline.geometry import _as_xy, _power_sum
-from lpline.numeric import _INV_PHI
+from lpline.geometry import _as_xy, _curvature_sum, _offsets, _power_sum, _slope_sum
+from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
 from lpline.triangle import family_member, reduced_to_line
 from lpline.verification import _partial_sum, remainder_coefficients
 
@@ -313,6 +316,133 @@ def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def solve_pinf_reference(points) -> OptimalSet:
+    """``exact.solve_pinf`` as a loop over point pairs, one candidate line
+    per pair: the brute-force oracle of the p = inf solver."""
+    arr = _check_points(points)
+
+    candidates: list[tuple[float, UnitLine]] = []
+    for i, j in combinations(range(len(arr)), 2):
+        dx, dy = arr[j] - arr[i]
+        norm = math.hypot(dx, dy)
+        if norm == 0.0:
+            continue
+        nx, ny = -dy / norm, dx / norm
+        offsets = _offsets(arr, nx, ny)
+        lo, hi = float(np.min(offsets)), float(np.max(offsets))
+        g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
+        candidates.append((0.5 * (hi - lo), g))
+
+    best, lines = _ties(candidates)
+    return OptimalSet(best, tuple(lines))
+
+
+def _newton_sign_reference(fd, lo: float, hi: float, x: float) -> float:
+    """Root of an increasing ``f`` between ``lo`` (f < 0) and ``hi`` (f > 0)
+    by scalar safeguarded Newton (``rtsafe``) from ``x``: a Newton step only
+    inside the bracket and at most half the step before last, else
+    bisection; stops on an exact 0, when the step no longer moves x, when the
+    bracket holds no float at the scale of its ends, or after
+    ``_NEWTON_ITERS`` calls of ``fd``."""
+    resolution = _EPS * max(abs(lo), abs(hi))
+    last = before = hi - lo
+    for _ in range(_NEWTON_ITERS):
+        f, df = fd(x)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= resolution:
+            break
+        step = f / df if 0.0 < df < math.inf else math.nan
+        new = x - step
+        if new == x:
+            break
+        if lo < new < hi and abs(step) <= 0.5 * abs(before):
+            before, last = last, step
+        else:
+            new = 0.5 * (lo + hi)
+            before, last = last, 0.5 * (hi - lo)
+        x = new
+    return x
+
+
+def _offset_root_reference(a: np.ndarray, pv: float, start: float, counter=None) -> float:
+    """c*: the root of the offset slope by :func:`_newton_sign_reference` from
+    ``start`` clipped to [min a, max a]."""
+    lo, hi = float(np.min(a)), float(np.max(a))
+    if lo == hi:
+        return lo
+
+    def fd(c):
+        if counter is not None:
+            counter.n += 1
+        r = c - a
+        return float(_slope_sum(r, pv)), (pv - 1.0) * float(_curvature_sum(r, pv))
+
+    return _newton_sign_reference(fd, lo, hi, min(max(start, lo), hi))
+
+
+def refine_reference(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
+                     starts: list[int], counter):
+    """The refinement that ``numeric._refine`` replaced, with its signature:
+    one start at a time, scalar safeguarded Newton on the profile slope in
+    the lane's bracket, each step a scalar offset solve warm-started from the
+    last root; then each line's offset and value on the input from the mean
+    offset.  Returns the (theta*, c*, value) arrays."""
+    step = math.pi / len(thetas)
+    centre = arr.mean(axis=0)
+    centred = arr - centre
+    pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
+    c_prev = 0.0
+
+    def profile_derivatives(theta: float) -> tuple[float, float]:
+        nonlocal c_prev
+        counter.n += 1
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        a = _offsets(centred, cos_t, sin_t)
+        b = _offsets(centred, -sin_t, cos_t)
+        c_prev = _offset_root_reference(a, pv, c_prev, counter)
+        r = c_prev - a
+        q = int(np.argmin(np.abs(r)))
+        if abs(r[q]) <= pin:
+            r = a[q] - a
+            w = b[q] - b
+            slope = pv * float(_slope_sum(r, pv, w))
+            curvature = (pv * (pv - 1.0) * float(_curvature_sum(np.delete(r, q), pv,
+                                                                  np.delete(w, q) ** 2))
+                         - pv * float(_power_sum(r, pv)))
+        else:
+            s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
+            slope = -pv * float(_slope_sum(r, pv, b))
+            curvature = (pv * (pv - 1.0) * float(s2 - s1 * s1 / s0)
+                         + pv * float(_slope_sum(r, pv, a)))
+        return slope, curvature
+
+    def newton_theta(idx: int) -> float:
+        nonlocal c_prev
+        th0 = float(thetas[idx])
+        c0 = float(scan_c[idx] - _offsets(centre[None, :], math.cos(th0), math.sin(th0))[0])
+        ends = []
+        for end in (th0 - step, th0 + step):
+            c_prev = c0
+            ends.append(profile_derivatives(end)[0])
+        if not ends[0] < 0.0 < ends[1]:
+            return th0
+        c_prev = c0
+        return _newton_sign_reference(profile_derivatives, th0 - step, th0 + step, th0)
+
+    out = []
+    for idx in starts:
+        theta = newton_theta(idx)
+        a = _offsets(arr, math.cos(theta), math.sin(theta))
+        c = _offset_root_reference(a, pv, float(np.mean(a)))
+        out.append((theta, c, float(_power_sum(c - a, pv))))
+    return tuple(np.array(v) for v in zip(*out))
 
 
 def remainder_partial_sum_reference(coefficients, t):

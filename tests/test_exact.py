@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpline import (
     DegenerateInputError,
@@ -23,12 +26,32 @@ from conftest import (
     random_points,
     random_isometry,
     refined_oracle,
+    regular_polygon,
+    solve_pinf_reference,
     transform_line,
 )
 
 SQRT3 = math.sqrt(3.0)
 TRI = canonical_triangle()
 RIGHT = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)]
+
+
+@st.composite
+def pinf_inputs(draw):
+    """Gaussian clouds, regular polygons and integer grids with repeated
+    points, scaled by 1e-3 to 1e3 and shifted by up to 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "polygon", "grid"]))
+    if kind == "gaussian":
+        pts = rng.standard_normal((draw(st.integers(2, 30)), 2))
+    elif kind == "polygon":
+        pts = np.array([tuple(q) for q in regular_polygon(draw(st.integers(3, 15)))])
+    else:
+        pts = rng.integers(-3, 4, size=(draw(st.integers(2, 30)), 2)).astype(float)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shift = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.0).map(lambda e: 10.0 ** e)))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    return scale * pts + shift * np.array([math.cos(angle), math.sin(angle)])
 
 
 class TestSolveP1:
@@ -134,6 +157,17 @@ class TestSolvePinf:
         pts = [Point2(t, -0.3 * t + 1.0) for t in (0.0, 1.0, 4.0)]
         opt = solve_pinf(pts)
         assert opt.min_value == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pts=pinf_inputs())
+    def test_matches_the_pair_loop(self, pts):
+        try:
+            want = solve_pinf_reference(pts)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                solve_pinf(pts)
+            return
+        assert solve_pinf(pts) == want
 
     def test_equioscillation_on_random_triangles(self, rng):
         for _ in range(40):

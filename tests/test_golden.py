@@ -264,6 +264,15 @@ def test_minimize_runs_no_golden_search(monkeypatch):
         _minimize_call(case)()
 
 
+def test_minimize_batches_its_final_offsets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize called best_offset_for_direction")
+
+    monkeypatch.setattr(numeric, "best_offset_for_direction", refuse)
+    for case in MINIMIZE_CASES:
+        _minimize_call(case)()
+
+
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_exact(golden, case):
     assert exact_entry(case) == golden["exact"][case]

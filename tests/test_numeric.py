@@ -22,7 +22,7 @@ from lpline import (
 )
 from lpline import numeric
 from lpline.exact import DegenerateInputError
-from lpline.geometry import _curvature_sum, _offsets, _power_sum, _slope_sum
+from lpline.geometry import _curvature_sum, _offsets, _power_sum, _slope_sum, lines_close
 from lpline.numeric import bisect_sign, golden_section
 from lpline.triangle import canonical_triangle, side_parallel_offset, side_parallel_value
 
@@ -35,6 +35,7 @@ from conftest import (
     line_param_distance,
     point_line_distance,
     random_points,
+    refine_reference,
     refined_oracle,
     regular_polygon,
 )
@@ -102,6 +103,16 @@ class TestBestOffset:
         a = _offsets(pts, math.cos(theta), math.sin(theta))
         res = 4.0 * np.finfo(float).eps * float(np.max(np.abs(a)))
         assert _slope_sum(c - res - a, p) <= 0.0 <= _slope_sum(c + res - a, p)
+
+    def test_overflowing_sums_keep_the_root(self):
+        # at p = 100 the cloud's sums overflow at scale 1e3; the root does
+        # not, and is 1e3 times the unscaled one
+        cloud = np.random.default_rng(50).standard_normal((50, 2))
+        c, value = best_offset_for_direction(1e3 * cloud, 0.7, 100)
+        c_unit, _ = best_offset_for_direction(cloud, 0.7, 100)
+        a = _offsets(1e3 * cloud, math.cos(0.7), math.sin(0.7))
+        assert value == math.inf
+        assert abs(c - 1e3 * c_unit) <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(a)))
 
 
 class TestScan:
@@ -241,6 +252,15 @@ class TestMinimize:
         g = report.optimal.lines[0]
         assert all(point_line_distance(q, g) < 1e-7 for q in pts)
 
+    def test_collinear_points_at_large_p(self):
+        # near the common line every sum underflows to 0, so the offset
+        # slopes' weights vanish; the optimum is still found, with value 0
+        t = np.random.default_rng(0).standard_normal(15)
+        pts = 99.6 * np.stack([t, 0.3 * t + 1.0], axis=1)
+        report = minimize(pts, 94.5)
+        assert report.optimal.min_value == 0.0
+        assert len(report.optimal.lines) == 1
+
     def test_multiplicity_counts_in_objective(self):
         base = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1.0)]
         doubled = base + [Point2(0.5, 1.0)]
@@ -344,6 +364,29 @@ class TestRefinement:
         want = scale * minimize(base, p).optimal.min_value ** (1.0 / p)
         got = minimize(copy, p).optimal.min_value ** (1.0 / p)
         assert abs(got - want) <= (1e-9 + 64.0 * np.finfo(float).eps * shift) * want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(5, 40),
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.floats(1.05, 8.0),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        shift=st.one_of(st.just(0.0), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)),
+        direction=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_matches_the_per_start_refinement(self, m, seed, p, scale, shift, direction):
+        # the lane-parallel refinement finds the lines of the scalar
+        # per-start Newton it replaced
+        move = shift * np.array([math.cos(direction), math.sin(direction)])
+        pts = scale * (np.random.default_rng(seed).standard_normal((m, 2)) + move)
+        got = minimize(pts, p).optimal
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_refine", refine_reference)
+            want = minimize(pts, p).optimal
+        assert len(got.lines) == len(want.lines)
+        for g in got.lines:
+            assert any(lines_close(g, h, 1e-9 * scale) for h in want.lines)
+        assert abs(got.min_value - want.min_value) <= 1e-12 * want.min_value
 
 
 class TestSolveDispatch:
