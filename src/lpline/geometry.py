@@ -243,20 +243,6 @@ def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
     return _slope_sum(r, p - 1.0, sign if weight is None else sign * weight)
 
 
-def _slope_curvature_terms(r: np.ndarray, p: float, work) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of ``_slope_sum(r, p)`` and ``_curvature_sum(r, p)``, bit for
-    bit, computed in (and overwriting) ``work``, three arrays of r's shape."""
-    mag, sign, terms = work
-    terms[...] = np.abs(r, out=mag)
-    np.sign(r, out=sign)
-    terms **= p - 1.0
-    terms *= sign
-    mag **= p - 2.0
-    mag *= sign
-    mag *= sign
-    return terms, mag
-
-
 def lp_objective(points, g: UnitLine, p) -> float:
     """``sum d_j^p`` for finite p, ``max d_j`` for p = inf."""
     pn = PNorm.coerce(p)

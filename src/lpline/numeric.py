@@ -27,7 +27,6 @@ from .geometry import (
     _curvature_sum,
     _offsets,
     _power_sum,
-    _slope_curvature_terms,
     _slope_sum,
 )
 from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
@@ -191,14 +190,14 @@ def _newton_lanes(fd, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, iters: int,
     last = before = hi - lo
     done = before <= tol
     for _ in range(iters):
+        if done.all():
+            break
         if done.any():
             out[lane[done]] = x[done]
             run = ~done
             lane, lo, hi, x, tol, last, before = (
                 v[run] for v in (lane, lo, hi, x, tol, last, before))
             aux = [v[..., run] for v in aux]
-        if lane.size == 0:
-            break
         counter.n += lane.size
         f, new, *aux = fd(x, *aux)
         below = f < 0.0
@@ -223,29 +222,24 @@ def _offset_roots(a: np.ndarray, pv: float, start: np.ndarray, iters: int,
     residual t, in which that term is linear.  The caller sets np.errstate."""
     a_min, a_max = a.min(axis=0), a.max(axis=0)
     q = pv - 1.0
-    # residuals and three work arrays for the running lanes, reused every round
-    work = np.empty((4,) + a.shape[::-1]).transpose(0, 2, 1)
 
     def fd(x, off, a_lo, a_hi):
-        r, mag, sign, terms = work[:, :, :x.size]
         w = 1.0 / np.maximum(x - a_lo, a_hi - x)
-        np.subtract(x, off, out=r)
-        r *= w
-        slope_terms, curvature_terms = _slope_curvature_terms(r, pv, (mag, sign, terms))
-        f, curvature = np.add.reduce(slope_terms, axis=0), np.add.reduce(curvature_terms, axis=0)
+        r = (x - off) * w
+        f, curvature = _slope_sum(r, pv), _curvature_sum(r, pv)
         new = x - f / (q * w * curvature)
         if pv < 2.0:
             cols = np.arange(x.size)
-            near = np.argmin(np.abs(r, out=sign), axis=0)
-            share = curvature_terms[near, cols] / curvature
+            near = np.argmin(np.abs(r), axis=0)
+            t = r[near, cols]
+            share = _curvature_sum(t[None, :], pv) / curvature
             kink = ~(share <= _KINK_SHARE)
             if kink.any():
-                t = r[near, cols]
                 if not t.all():
                     # on an offset (t = 0, share nan) du/df is 1 / (offsets there)
                     share = np.where(t == 0.0, 1.0 / np.maximum(
                         np.count_nonzero(r == 0.0, axis=0), 1), share)
-                u = slope_terms[near, cols] - f * share
+                u = _slope_sum(t[None, :], pv) - f * share
                 new = np.where(kink, off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w,
                                new)
         return f, new, off, a_lo, a_hi
@@ -399,10 +393,10 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
 
 def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
                     pin: float, counter: _Counter):
-    """(phi', phi'', c*, dc*/dtheta) of the profile phi = min_c f on each
-    lane theta, with c* from :func:`_offset_roots` warm-started at ``c``.
-    Where c* sits within ``pin`` of a point q, f_c is not resolved, so they
-    are the derivatives along the line through q (q's term eliminated)."""
+    """(phi', phi'', c*) of the profile phi = min_c f on each lane theta,
+    with c* from :func:`_offset_roots` warm-started at ``c``.  Where c* sits
+    within ``pin`` of a point q, f_c is not resolved, so they are the
+    derivatives along the line through q (q's term eliminated)."""
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
     a = _offsets(centred, cos_t, sin_t).T  # (m, lanes), each lane contiguous
     b = _offsets(centred, -sin_t, cos_t).T
@@ -410,8 +404,7 @@ def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: f
     r = c - a
     s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
     slope, envelope = -pv * _slope_sum(r[:, None], pv, np.stack([b, a], 1))
-    curvature, dc = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) - envelope, s1 / s0
-    dc = np.where(np.abs(dc) < math.inf, dc, 0.0)  # nan where every weight underflows
+    curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) - envelope
     cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
     pinned = np.abs(r[q, cols]) <= pin
     if pinned.any():
@@ -421,8 +414,7 @@ def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: f
         slope = np.where(pinned, pv * _slope_sum(r, pv, w), slope)
         curvature = np.where(pinned, pv * (pv - 1.0) * _curvature_sum(r_q, pv, w * w)
                              - pv * _power_sum(r, pv), curvature)
-        dc = np.where(pinned, b[q, cols], dc)
-    return slope, curvature, c, dc
+    return slope, curvature, c
 
 
 def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
@@ -431,8 +423,9 @@ def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
     the root of the profile slope in the lane's bracket by :func:`_newton_lanes`
     on all starts at once, centred on the centroid, or the lane's theta when
     the slope keeps its sign there; c* and sum |c* - a_j|^p then come from
-    one :func:`_offset_roots` call on the input.  Offsets are warm-started
-    from the last roots, moved along dc*/dtheta."""
+    one :func:`_offset_roots` call on the input from the mean offset, as in
+    :func:`best_offset_for_direction`.  Each theta round's offsets are
+    warm-started from its lane's last roots."""
     step, centre = math.pi / len(thetas), arr.mean(axis=0)
     centred = arr - centre
     pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
@@ -452,20 +445,17 @@ def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
                                 pv, pin, counter)
     bracket = np.flatnonzero((slope[:idx.size] < 0.0) & (0.0 < slope[idx.size:]))
 
-    # per start: the last root, dc*/dtheta there and the theta it was solved at
-    c, dc, at = scan_c[idx] - shift(th0), np.zeros_like(th0), th0.copy()
+    c = scan_c[idx] - shift(th0)  # each start's last root
 
     def fd(theta, ids):
-        slope, curvature, c[ids], dc[ids] = _profile_slopes(
-            centred, theta, c[ids] + dc[ids] * (theta - at[ids]), pv, pin, counter)
-        at[ids] = theta
+        slope, curvature, c[ids] = _profile_slopes(centred, theta, c[ids], pv, pin, counter)
         valid = (0.0 < curvature) & (curvature < math.inf)
         return slope, np.where(valid, theta - slope / curvature, math.nan), ids
 
     theta, x = th0.copy(), th0[bracket]
     theta[bracket] = _newton_lanes(fd, x - step, x + step, x, _NEWTON_ITERS, counter, bracket)
     a = _offsets(arr, np.cos(theta)[:, None], np.sin(theta)[:, None]).T
-    c = _offset_roots(a, pv, c + dc * (theta - at) + shift(theta), _NEWTON_ITERS, counter)
+    c = _offset_roots(a, pv, a.mean(axis=0), _NEWTON_ITERS, counter)
     return theta, c, _power_sum(c - a, pv)
 
 

@@ -18,7 +18,7 @@ from lpline import (
     lp_objective,
     sign_partition,
 )
-from lpline.geometry import _as_xy, _curvature_sum, _slope_curvature_terms, _slope_sum
+from lpline.geometry import _as_xy
 from lpline.triangle import canonical_triangle
 
 from conftest import (
@@ -102,20 +102,6 @@ class TestLpObjective:
         pts = [Point2(0.0, 0.0), Point2(0.0, 0.0), Point2(1.0, 0.0)]
         g = UnitLine(0.0, 0.5)  # vertical line x = 1/2
         assert lp_objective(pts, g, 2.0) == pytest.approx(0.75, abs=1e-14)
-
-
-@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 2.5, 3.0, 60.0])
-def test_slope_curvature_terms_match_the_sums(p):
-    # the terms the offset kernel sums, computed in work arrays, give the
-    # sums of _slope_sum and _curvature_sum bit for bit, zero residuals and
-    # each lane's memory order included
-    r = np.asfortranarray(np.random.default_rng(4).standard_normal((40, 9)))
-    r[::7, 2] = 0.0
-    work = np.empty((3, 9, 40)).transpose(0, 2, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope, curvature = _slope_curvature_terms(r, p, work)
-        assert np.add.reduce(slope, axis=0).tobytes() == _slope_sum(r, p).tobytes()
-        assert np.add.reduce(curvature, axis=0).tobytes() == _curvature_sum(r, p).tobytes()
 
 
 class TestLpDistance:
