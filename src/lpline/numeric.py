@@ -34,7 +34,6 @@ from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_p
 __all__ = [
     "SolveReport",
     "golden_section",
-    "bisect_sign",
     "best_offset_for_direction",
     "minimize",
     "solve",
@@ -77,7 +76,7 @@ class SolveReport:
 
     ``evaluations`` counts one per lane and round of every Newton search (the
     scan's offsets, the refinement's theta and its offsets, including the
-    final offsets on the input) and one per slope evaluation of the snap.
+    final offsets on the input).
     """
 
     optimal: OptimalSet
@@ -119,28 +118,6 @@ def golden_section(f, lo: float, hi: float, tol: float, max_iters: int = 200):
     if f1 <= f2:
         return x1, f1
     return x2, f2
-
-
-def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> float:
-    """Bisect the sign change of ``f`` between ``lo`` (f < 0) and ``hi`` (f >= 0).
-
-    Halves the bracket at most ``iters`` times, stopping early once it is no
-    wider than ``width`` or once its midpoint rounds to one of its ends (no
-    float is left inside, so further halvings would return that midpoint),
-    and returns its midpoint.  The caller checks the bracket: nothing here
-    evaluates ``f`` at the ends.
-    """
-    for _ in range(iters):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def best_offset_for_direction(points, theta: float, p) -> tuple[float, float]:
@@ -268,9 +245,9 @@ def minimize(points, p) -> SolveReport:
     resolution, and refines every circular local minimum of the scan at once
     inside its lane's bracket (:func:`_refine`); when the scan already shows
     a family, the best well-separated lanes are the starts instead.  Each line
-    takes its offset and value on the input, may snap to a line through one
-    or two points, and all distinct lines tying with the best value are
-    returned.  A wide spread of near-optimal directions marks a family.
+    takes its offset and value on the input, and all distinct lines tying
+    with the best value are returned.  A wide spread of near-optimal
+    directions marks a family.
 
     If every refined direction overflows, the search reruns on the points
     times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is exact;
@@ -334,56 +311,11 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
                    & (scan_values < np.roll(scan_values, -1)))
         starts = order[minimum[order]].tolist()
 
-    scale = 1.0 + float(np.max(np.abs(arr)))
-
-    def through_point_solution(q: np.ndarray, theta0: float):
-        # optimum constrained to pass through q: with the contact point's kink
-        # removed the angular slope is smooth, so sign bisection is exact
-        rel = arr - q
-
-        def slope(alpha: float) -> float:
-            counter.n += 1
-            r = rel @ np.array([math.cos(alpha), math.sin(alpha)])
-            dn = rel @ np.array([-math.sin(alpha), math.cos(alpha)])
-            return pv * float(_slope_sum(r, pv, dn))
-
-        t_lo, t_hi = theta0 - 1e-4, theta0 + 1e-4
-        if not (slope(t_lo) < 0.0 < slope(t_hi)):
-            return None
-        alpha = bisect_sign(slope, t_lo, t_hi, 70)
-        n = np.array([math.cos(alpha), math.sin(alpha)])
-        c = float(n @ q)
-        value = float(_power_sum(arr @ n - c, pv))
-        return value, UnitLine(alpha, c)
-
     theta_star, c_star, values = _refine(arr, pv, thetas, scan_c, starts, counter)
     if not np.all(values < math.inf):
         return None
-    refined: list[tuple[float, UnitLine]] = []
-    for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist()):
-        line = UnitLine(theta, c)
-        near = np.flatnonzero(np.abs(arr @ np.array(line.normal()) - c) <= 1e-6 * scale)
-        if len(near) == 1:
-            snapped = through_point_solution(arr[near[0]], theta)
-            if snapped is not None and snapped[0] <= value + 1e-12 * (1.0 + value):
-                value, line = snapped
-        elif len(near) >= 2:
-            # toward p = 1 the optimum continues into a line through two
-            # points, where the envelope slope oscillates; snap to the exact
-            # pair line when it wins
-            span = arr[near]
-            d2 = np.sum((span[:, None, :] - span[None, :, :]) ** 2, axis=-1)
-            i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-            if d2[i, j] > 0.0:
-                dx, dy = span[j] - span[i]
-                norm = math.hypot(dx, dy)
-                n = np.array([-dy / norm, dx / norm])
-                c_pair = float(n @ span[i])
-                v_pair = float(_power_sum(arr @ n - c_pair, pv))
-                if v_pair < value:
-                    value = v_pair
-                    line = UnitLine(math.atan2(n[1], n[0]), c_pair)
-        refined.append((value, canonicalize(line)))
+    refined = [(value, canonicalize(UnitLine(theta, c)))
+               for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist())]
 
     best, lines = _ties(sorted(refined, key=lambda t: t[0]), _VALUE_TOL, 1e-7)
 
@@ -396,7 +328,8 @@ def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: f
     """(phi', phi'', c*) of the profile phi = min_c f on each lane theta,
     with c* from :func:`_offset_roots` warm-started at ``c``.  Where c* sits
     within ``pin`` of a point q, f_c is not resolved, so they are the
-    derivatives along the line through q (q's term eliminated)."""
+    derivatives along the line through q (q's term eliminated), the
+    search's only through-point path."""
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
     a = _offsets(centred, cos_t, sin_t).T  # (m, lanes), each lane contiguous
     b = _offsets(centred, -sin_t, cos_t).T

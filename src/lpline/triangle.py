@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import PNorm, Point2, UnitLine, canonicalize, line_through, lines_close
 from .exact import OptimalSet, PencilThroughPoint, ReducedCurve
-from .numeric import bisect_sign, solve
+from .numeric import solve
 
 __all__ = [
     "SQRT3",
@@ -50,6 +50,7 @@ __all__ = [
     "side_parallel_value",
     "triangle_min_value",
     "classify_phase",
+    "bisect_sign",
     "locate_transitions",
     "family_member",
     "symmetry_orbit",
@@ -281,6 +282,28 @@ def triangle_min_value(p) -> float:
 
 def _indicator_at_p(p: float) -> float:
     return regime_indicator(1.0 / (p - 1.0))
+
+
+def bisect_sign(f, lo: float, hi: float, iters: int, width: float = 0.0) -> float:
+    """Bisect the sign change of ``f`` between ``lo`` (f < 0) and ``hi`` (f >= 0).
+
+    Halves the bracket at most ``iters`` times, stopping early once it is no
+    wider than ``width`` or once its midpoint rounds to one of its ends (no
+    float is left inside, so further halvings would return that midpoint),
+    and returns its midpoint.  The caller checks the bracket: nothing here
+    evaluates ``f`` at the ends.
+    """
+    for _ in range(iters):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def locate_transitions(p_min: float, p_max: float) -> list[float]:

@@ -2,7 +2,8 @@
 members, the brute-force grid oracles, the reference search loops that
 the solver's early stops must reproduce exactly, the golden-section theta
 scan that the solver's Newton scan replaced, the per-start Newton
-refinement that its lane-parallel refinement replaced, the pair loop of
+refinement that its lane-parallel refinement replaced, the through-point
+and pair snaps that ``minimize`` no longer runs, the pair loop of
 ``solve_pinf``, and the readers and distances that only the tests use."""
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from lpline.exact import (
 from lpline.fileio import SWEEP_HEADER, SweepRow
 from lpline.geometry import _as_xy, _curvature_sum, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
-from lpline.triangle import family_member, reduced_to_line
+from lpline.triangle import bisect_sign, family_member, reduced_to_line
 from lpline.verification import _partial_sum, remainder_coefficients
 
 
@@ -443,6 +444,48 @@ def refine_reference(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.
         c = _offset_root_reference(a, pv, float(np.mean(a)))
         out.append((theta, c, float(_power_sum(c - a, pv))))
     return tuple(np.array(v) for v in zip(*out))
+
+
+def snap_reference(arr: np.ndarray, p: float, line: UnitLine, value: float):
+    """(value, line): the better of ``line`` (whose value is ``value``) and
+    its snap, the second path to lines through points that ``minimize`` ran
+    before its kernels reached them.  Within ``1e-6 (1 + max |coordinate|)``
+    of one point the snap is the optimum constrained through that point, by
+    sign bisection of its angular slope within 1e-4 of ``line``'s theta;
+    within that radius of two or more points, the line through the farthest
+    two of them."""
+    scale = 1.0 + float(np.max(np.abs(arr)))
+    near = np.flatnonzero(np.abs(arr @ np.array(line.normal()) - line.c) <= 1e-6 * scale)
+    if len(near) == 1:
+        q = arr[near[0]]
+        rel = arr - q
+
+        def slope(alpha: float) -> float:
+            r = rel @ np.array([math.cos(alpha), math.sin(alpha)])
+            dn = rel @ np.array([-math.sin(alpha), math.cos(alpha)])
+            return p * float(_slope_sum(r, p, dn))
+
+        t_lo, t_hi = line.theta - 1e-4, line.theta + 1e-4
+        if slope(t_lo) < 0.0 < slope(t_hi):
+            alpha = bisect_sign(slope, t_lo, t_hi, 70)
+            n = np.array([math.cos(alpha), math.sin(alpha)])
+            c = float(n @ q)
+            snapped = float(_power_sum(arr @ n - c, p))
+            if snapped <= value + 1e-12 * (1.0 + value):
+                return snapped, UnitLine(alpha, c)
+    elif len(near) >= 2:
+        span = arr[near]
+        d2 = np.sum((span[:, None, :] - span[None, :, :]) ** 2, axis=-1)
+        i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+        if d2[i, j] > 0.0:
+            dx, dy = span[j] - span[i]
+            norm = math.hypot(dx, dy)
+            n = np.array([-dy / norm, dx / norm])
+            c = float(n @ span[i])
+            snapped = float(_power_sum(arr @ n - c, p))
+            if snapped < value:
+                return snapped, UnitLine(math.atan2(n[1], n[0]), c)
+    return value, line
 
 
 def remainder_partial_sum_reference(coefficients, t):

@@ -2,8 +2,8 @@
 
 ``tests/golden/outputs.json`` stores, for a fixed set of inputs, every float
 of the results as ``float.hex()`` together with the evaluation counts and
-flags: ``minimize`` (including its pair and through-point snaps, a scan
-whose lanes overflow and a far-translated input), the closed forms, and the
+flags: ``minimize`` (including optima on a line through two points and
+through one point, a scan whose lanes overflow and a far-translated input), the closed forms, and the
 objective's building blocks ``best_offset_for_direction``,
 ``objective_gradient`` and ``lp_objective``.  It also stores the sha256 of
 the stdout of ``lpline verify --quick``, of the full ``lpline verify`` and
@@ -90,9 +90,9 @@ MINIMIZE_CASES = {
     "cloud-list-p1.2": ("cloud-list", 1.2),
     "cloud-ndarray-p1.2": ("cloud-ndarray", 1.2),
     "band-outlier-p1.2": ("band-outlier", 1.2),
-    # the pair snap wins
+    # the optimum is the line through two of the points
     "triangle-p1.01": ("triangle", 1.01),
-    # the through-point snap
+    # the optimum passes through one of the points
     "cloud-ndarray-p1.05": ("cloud-ndarray", 1.05),
     # scan lanes overflow to inf
     "triangle-x5-p672.69": ("triangle-x5", 672.69),

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import lpline
-from lpline import fileio, geometry, verification
+from lpline import fileio, geometry, numeric, verification
 from lpline.cli import main
 from lpline.geometry import UnitLine, first_order_residual, sign_partition
-from lpline.triangle import ReducedPoint, locate_transitions, symmetry_orbit
+from lpline.triangle import ReducedPoint, bisect_sign, locate_transitions, symmetry_orbit
 from lpline.verification import run_verification_suite, triangle_cross_checks
 
 
@@ -23,6 +23,7 @@ from lpline.verification import run_verification_suite, triangle_cross_checks
     (triangle_cross_checks, ["quick"]),
     (first_order_residual, ["points", "g", "p"]),
     (sign_partition, ["points", "g"]),
+    (bisect_sign, ["f", "lo", "hi", "iters", "width"]),
 ])
 def test_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -34,6 +35,9 @@ def test_retired_names_are_gone():
     assert not hasattr(UnitLine, "foot")
     for family in (lpline.PencilThroughPoint, lpline.ParallelStrip, lpline.ReducedCurve):
         assert not hasattr(family, "sample_lines")
+    # minimize bisects nothing; the one bisection left serves locate_transitions
+    assert not hasattr(numeric, "bisect_sign")
+    assert "bisect_sign" not in numeric.__all__
 
 
 @pytest.mark.parametrize("module,name", [
