@@ -68,15 +68,15 @@ class SolveReport:
     """Solver result plus diagnostics.
 
     ``stationarity_residual`` is the worst first-order offset defect over the
-    returned lines, in the scaled copy that :func:`minimize` solves when the
-    input's sums overflow.  It vanishes (within ~1e-7 of the value scale) at
+    returned lines, in the centred copy that :func:`minimize` solves (scaled
+    when its sums overflow).  It vanishes (within ~1e-7 of the value scale) at
     regular optima; when p is very close to 1 and the optimum continues into a
     line through two points, the balancing terms sit below float resolution
-    and the reported defect stays O(1) even though the line is exact.
+    and the reported defect stays O(1) though the line is exact.
 
     ``evaluations`` counts one per lane and round of every Newton search (the
     scan's offsets, the refinement's theta and its offsets, including the
-    final offsets on the input).
+    final offsets).
     """
 
     optimal: OptimalSet
@@ -241,23 +241,26 @@ def _scan_values(arr: np.ndarray, thetas: np.ndarray, pv: float,
 def minimize(points, p) -> SolveReport:
     """Global line minimization for finite p in (1, inf).
 
-    Scans ``theta`` over [0, pi), solving every lane's offset to float
-    resolution, and refines every circular local minimum of the scan at once
-    inside its lane's bracket (:func:`_refine`); when the scan already shows
-    a family, the best well-separated lanes are the starts instead.  Each line
-    takes its offset and value on the input, and all distinct lines tying
-    with the best value are returned.  A wide spread of near-optimal
-    directions marks a family.
+    Centres the points on their centroid once and solves there: scans
+    ``theta`` over [0, pi), solving every lane's offset to float resolution,
+    and refines every circular local minimum of the scan at once inside its
+    lane's bracket (:func:`_refine`); when the scan already shows a family,
+    the best well-separated lanes are the starts instead.  All distinct lines
+    tying with the best value are returned, each mapped back once as
+    (theta, c + <n(theta), centroid>); ``min_value`` is the value on the
+    centred points.  A wide spread of near-optimal directions marks a family.
 
-    If every refined direction overflows, the search reruns on the points
-    times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is exact;
-    lines map back as (theta, 2^k c) and ``min_value`` is taken on the input.
+    If every refined direction overflows, the search reruns on the centred
+    points times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is
+    exact; the back-map takes 2^k c, and ``min_value`` is taken unscaled.
     """
     pn = PNorm.coerce(p)
     if pn.is_inf or pn.value <= 1.0:
         raise ValueError("use exact solver")
     arr = _check_points(points)
-    counter = _Counter()
+    centre = arr.mean(axis=0)
+    arr = arr - centre
+    counter, k = _Counter(), 0
     # sums far from the optimum may overflow to inf (or to nan, for a slope
     # with terms of both signs); they then lose every comparison, as they
     # should.  A zero residual makes a curvature term infinite for p < 2; the
@@ -268,14 +271,15 @@ def minimize(points, p) -> SolveReport:
             k = math.frexp(float(np.max(np.ptp(arr, axis=0))))[1] - 1
             found = _search(np.ldexp(arr, -k), pn, counter) if k > 0 else None
             if found is not None:
-                lines = [UnitLine(g.theta, math.ldexp(g.c, k)) for g in found[1]]
-                found = (min(lp_objective(arr, g, pn) for g in lines), lines, *found[2:])
+                found = (min(lp_objective(arr, UnitLine(g.theta, math.ldexp(g.c, k)), pn)
+                             for g in found[1]), *found[1:])
     if found is None or math.isinf(found[0]):
         raise ValueError(f"objective overflows float at p = {pn.value!r}: "
                          "no refined direction has a finite value")
     best, lines, degenerate, residual = found
-    return SolveReport(OptimalSet(best, tuple(lines), (), degenerate=degenerate),
-                       residual, counter.n)
+    lines = tuple(UnitLine(g.theta, math.ldexp(g.c, k) + float(centre @ g.normal()))
+                  for g in lines)
+    return SolveReport(OptimalSet(best, lines, (), degenerate=degenerate), residual, counter.n)
 
 
 def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
@@ -323,7 +327,7 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     return best, lines, family(best), residual
 
 
-def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
+def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
                     pin: float, counter: _Counter):
     """(phi', phi'', c*) of the profile phi = min_c f on each lane theta,
     with c* from :func:`_offset_roots` warm-started at ``c``.  Where c* sits
@@ -331,8 +335,8 @@ def _profile_slopes(centred: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: f
     derivatives along the line through q (q's term eliminated), the
     search's only through-point path."""
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    a = _offsets(centred, cos_t, sin_t).T  # (m, lanes), each lane contiguous
-    b = _offsets(centred, -sin_t, cos_t).T
+    a = _offsets(arr, cos_t, sin_t).T  # (m, lanes), each lane contiguous
+    b = _offsets(arr, -sin_t, cos_t).T
     c = _offset_roots(a, pv, c, _NEWTON_ITERS, counter)
     r = c - a
     s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
@@ -354,19 +358,14 @@ def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
             starts: list[int], counter: _Counter):
     """(theta*, c*, value) arrays for the start lanes of the scan: theta* is
     the root of the profile slope in the lane's bracket by :func:`_newton_lanes`
-    on all starts at once, centred on the centroid, or the lane's theta when
-    the slope keeps its sign there; c* and sum |c* - a_j|^p then come from
-    one :func:`_offset_roots` call on the input from the mean offset, as in
-    :func:`best_offset_for_direction`.  Each theta round's offsets are
-    warm-started from its lane's last roots."""
-    step, centre = math.pi / len(thetas), arr.mean(axis=0)
-    centred = arr - centre
+    on all starts at once, or the lane's theta when the slope keeps its sign
+    there; c* and sum |c* - a_j|^p then come from one :func:`_offset_roots`
+    call from the mean offset.  Each theta round's offsets are warm-started
+    from its lane's last roots."""
+    step = math.pi / len(thetas)
     pin = 1e-9 * float(np.max(np.ptp(arr, axis=0)))
     idx = np.asarray(starts)
     th0 = thetas[idx]
-
-    def shift(theta):  # the offset of the centroid
-        return _offsets(centre[None, :], np.cos(theta), np.sin(theta))
 
     # the bracket ends are the neighbouring scan lanes; lane -1 is lane 719,
     # and lane 720 lane 0, with the normal and so the offset negated
@@ -374,14 +373,13 @@ def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
     ends = np.concatenate([th0 - step, th0 + step])
     wrap = np.where((side < 0) | (side >= len(thetas)), -1.0, 1.0)
     counter.n += ends.size
-    slope, *_ = _profile_slopes(centred, ends, wrap * scan_c[side % len(thetas)] - shift(ends),
-                                pv, pin, counter)
+    slope, *_ = _profile_slopes(arr, ends, wrap * scan_c[side % len(thetas)], pv, pin, counter)
     bracket = np.flatnonzero((slope[:idx.size] < 0.0) & (0.0 < slope[idx.size:]))
 
-    c = scan_c[idx] - shift(th0)  # each start's last root
+    c = scan_c[idx]  # each start's last root
 
     def fd(theta, ids):
-        slope, curvature, c[ids] = _profile_slopes(centred, theta, c[ids], pv, pin, counter)
+        slope, curvature, c[ids] = _profile_slopes(arr, theta, c[ids], pv, pin, counter)
         valid = (0.0 < curvature) & (curvature < math.inf)
         return slope, np.where(valid, theta - slope / curvature, math.nan), ids
 

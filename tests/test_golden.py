@@ -11,9 +11,10 @@ of ``lpline solve`` on the triangle at six exponents, of a 2000-step
 ``lpline sweep`` file and of the ``lpline render`` SVG in each regime.  A
 change that is meant to keep outputs must pass these tests unchanged.  A
 change that alters outputs on purpose lists the entries that would change,
-each with the largest relative change among its floats, its changed integer
-and flag fields (such as ``evaluations 44894 -> 4988``) and its old -> new
-line count (or ``hash`` for a sha256 entry), with
+each with its ``min_value`` change in ulps (``min_value +1 ulp``, or
+``min_value =``), the largest relative change among its floats, its changed
+integer and flag fields (such as ``evaluations 44894 -> 4988``) and its
+old -> new line count (or ``hash`` for a sha256 entry), with
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
@@ -28,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 import sys
 import tempfile
 import warnings
@@ -345,13 +347,28 @@ def _changed_counts(old, new) -> list[str]:
             if isinstance(old[key], int) and isinstance(new[key], int) and old[key] != new[key]]
 
 
+def _ulps(a: float, b: float) -> int:
+    """``b - a`` in units in the last place: the distance between the two
+    floats in the order of their bit patterns (-0.0 and 0.0 coincide)."""
+    def rank(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & (2 ** 63 - 1))
+
+    return rank(b) - rank(a)
+
+
 def describe_change(entry: str, old, new) -> str:
-    """One line for a changed entry: the largest relative change among its
-    floats, its changed integer and flag fields and its old -> new line
-    count, or ``hash`` for a sha256 entry."""
+    """One line for a changed entry: its ``min_value`` change in ulps (the
+    field the output rules key on; relative changes of near-zero fields such
+    as a residual say little), the largest relative change among its floats,
+    its changed integer and flag fields and its old -> new line count, or
+    ``hash`` for a sha256 entry."""
     if "sha256" in entry:
         return f"{entry}  hash"
     parts = [entry]
+    if isinstance(old, dict) and isinstance(new, dict) and "min_value" in old.keys() & new.keys():
+        k = _ulps(float.fromhex(old["min_value"]), float.fromhex(new["min_value"]))
+        parts.append(f"min_value {k:+d} ulp" if k else "min_value =")
     largest = max(_relative_changes(old, new), default=None)
     counts = _changed_counts(old, new)
     if largest is not None:
@@ -363,6 +380,29 @@ def describe_change(entry: str, old, new) -> str:
     if isinstance(old, dict) and isinstance(new, dict) and "lines" in old.keys() & new.keys():
         parts.append(f"lines {len(old['lines'])} -> {len(new['lines'])}")
     return "  ".join(parts)
+
+
+def _entry(min_value: float, residual: float, lines: int) -> dict:
+    return {"min_value": float.hex(min_value), "stationarity_residual": float.hex(residual),
+            "lines": [{"c": float.hex(0.0), "theta": float.hex(1.0)}] * lines,
+            "evaluations": 100, "degenerate": False}
+
+
+def test_describe_change_counts_min_value_ulps():
+    value = 1.5
+    up = math.nextafter(value, math.inf)
+    assert describe_change("minimize/a", _entry(value, 1e-16, 1), _entry(up, 2e-16, 1)) == (
+        "minimize/a  min_value +1 ulp  max rel 1 (stationarity_residual)  lines 1 -> 1")
+    assert describe_change("minimize/b", _entry(up, 1e-16, 2), _entry(value, 1e-16, 3)) == (
+        "minimize/b  min_value -1 ulp  max rel 1.5e-16 (min_value)  lines 2 -> 3")
+    assert describe_change("minimize/c", _entry(value, 1e-16, 1), _entry(value, 3e-16, 1)) == (
+        "minimize/c  min_value =  max rel 2 (stationarity_residual)  lines 1 -> 1")
+    assert describe_change("cli/verify_stdout_sha256", "ab", "cd") == (
+        "cli/verify_stdout_sha256  hash")
+    # across a binade, zero and its sign
+    assert _ulps(math.nextafter(2.0, 0.0), 2.0) == 1
+    assert _ulps(-0.0, 0.0) == 0
+    assert _ulps(-5e-324, 5e-324) == 2
 
 
 if __name__ == "__main__":

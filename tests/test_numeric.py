@@ -523,6 +523,17 @@ class TestTransitionBitIdentity:
         assert fast == locate_transitions(p_min, p_max)
 
 
+def _cloud_or_band(band: bool, m: int, seed: int) -> np.ndarray:
+    """A Gaussian cloud of m points, or a noisy band of m - 1 points along
+    y = 0.3 x with one outlier."""
+    rng = np.random.default_rng(seed)
+    if band:
+        xs = rng.uniform(0.0, 4.0, m - 1)
+        return np.vstack([np.stack([xs, 0.3 * xs + rng.normal(0.0, 0.05, m - 1)], 1),
+                          [[2.0, 3.0]]])
+    return rng.standard_normal((m, 2))
+
+
 def _snap_gap(points, p) -> float:
     """How far ``minimize``'s value lies above the best snap of its own lines,
     relative."""
@@ -549,17 +560,9 @@ class TestSnapReference:
         direction=st.floats(0.0, 2.0 * math.pi),
     )
     def test_no_gain_over_the_snaps(self, band, m, seed, p, scale, shift, direction):
-        # a Gaussian cloud, or a noisy band along y = 0.3 x with one outlier,
-        # scaled and moved by `shift` sizes
-        rng = np.random.default_rng(seed)
-        if band:
-            xs = rng.uniform(0.0, 4.0, m - 1)
-            pts = np.vstack([np.stack([xs, 0.3 * xs + rng.normal(0.0, 0.05, m - 1)], 1),
-                             [[2.0, 3.0]]])
-        else:
-            pts = rng.standard_normal((m, 2))
+        # a cloud or a band, scaled and moved by `shift` sizes
         move = shift * np.array([math.cos(direction), math.sin(direction)])
-        assert _snap_gap(scale * (pts + move), p) <= _VALUE_TOL
+        assert _snap_gap(scale * (_cloud_or_band(band, m, seed) + move), p) <= _VALUE_TOL
 
     @pytest.mark.parametrize("points, p", [
         ([Point2(q.x + 1e6, q.y + 1e6) for q in TRI], 1.5),
@@ -569,6 +572,49 @@ class TestSnapReference:
     ], ids=["triangle-shifted-1e6", "9-gon-p3", "band-outlier-p1.2", "triangle-p60"])
     def test_no_gain_on_fixed_inputs(self, points, p):
         assert _snap_gap(points, p) <= _VALUE_TOL
+
+
+class TestTranslation:
+    """``minimize`` solves in the frame centred on the centroid, so an exactly
+    representable translation changes nothing but the offsets."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["n-gon", "cloud", "band"]),
+        n=st.integers(3, 15),
+        m=st.integers(3, 40),
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.floats(1.05, 20.0),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        shift=st.floats(0.0, 8.0).map(lambda e: 10.0 ** e),
+        direction=st.floats(0.0, 2.0 * math.pi),
+    )
+    # orbits that the raw-input frame cut, all shifted 1e6 sizes
+    @example(kind="n-gon", n=3, m=3, seed=0, p=3.0, scale=1.0, shift=1e6, direction=1.0)
+    @example(kind="n-gon", n=5, m=3, seed=0, p=3.07, scale=1.0, shift=1e6, direction=1.0)
+    @example(kind="n-gon", n=9, m=3, seed=0, p=3.0, scale=1.0, shift=1e6, direction=0.0)
+    def test_shift_moves_only_the_offsets(self, kind, n, m, seed, p, scale, shift, direction):
+        # `back` is `shifted` moved back exactly, so both hold the same
+        # rounded shape; the unshifted polygon is not compared, because the
+        # shifted coordinates round by eps * shift (ROADMAP item 2)
+        base = (_as_xy(regular_polygon(n)) if kind == "n-gon"
+                else _cloud_or_band(kind == "band", m, seed))
+        move = shift * scale * np.array([math.cos(direction), math.sin(direction)])
+        shifted = scale * base + move
+        back = shifted - move
+        assert np.array_equal(back + move, shifted)
+        got, want = minimize(shifted, p).optimal, minimize(back, p).optimal
+        assert len(got.lines) == len(want.lines)
+        assert got.degenerate == want.degenerate
+        assert abs(got.min_value - want.min_value) <= 1e-13 * want.min_value
+        if want.degenerate:
+            return
+        c_tol = 256.0 * np.finfo(float).eps * (shift * scale + scale)
+        for g in got.lines:
+            c = g.c - float(move @ g.normal())
+            assert any(abs(g.theta - h.theta) <= 1e-9 and abs(c - h.c) <= c_tol
+                       or abs(abs(g.theta - h.theta) - math.pi) <= 1e-9 and abs(c + h.c) <= c_tol
+                       for h in want.lines)
 
 
 class TestDistanceOrderingAtOptima:
