@@ -42,11 +42,12 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
-# candidates closer than this in theta are considered the same start
+# a family's starts are scan lanes at least this far apart in theta
 MIN_THETA_SEPARATION = math.pi / 36.0
-# scan arcs agreeing with the optimum at this relative level flag a family
+# a family: scan values within this of their minimum, relative.  Families
+# spread <= 2.1e-15 (6.7e-9 shifted 1e7 sizes: the pentagon at p = 4, the 7-gon
+# at p = 6); the nearest orbit measured (the triangle, p = 2 + 1e-6) 8.7e-8
 _DEGENERATE_RTOL = 1e-8
-_DEGENERATE_ARCS = 12
 # theta scan: lanes over [0, pi)
 _THETA_SAMPLES = 720
 # scan start: the mean offset (the root at p = 2) up to this p, the midrange
@@ -55,8 +56,7 @@ _MEAN_START_P = 4.0
 # for p < 2 a scan lane linearizes the slope term of its nearest offset when
 # that term carries more than this share of the curvature
 _KINK_SHARE = 0.25
-# refinement: the tie tolerance (relative), and the starts refined when the
-# scan already shows a family
+# refinement: the tie tolerance (relative), and the starts kept for a family
 _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
@@ -244,11 +244,12 @@ def minimize(points, p) -> SolveReport:
     Centres the points on their centroid once and solves there: scans
     ``theta`` over [0, pi), solving every lane's offset to float resolution,
     and refines every circular local minimum of the scan at once inside its
-    lane's bracket (:func:`_refine`); when the scan already shows a family,
-    the best well-separated lanes are the starts instead.  All distinct lines
-    tying with the best value are returned, each mapped back once as
-    (theta, c + <n(theta), centroid>); ``min_value`` is the value on the
-    centred points.  A wide spread of near-optimal directions marks a family.
+    lane's bracket (:func:`_refine`); for a family the best well-separated
+    lanes are the starts instead.  All distinct lines tying with the best
+    value are returned, each mapped back once as (theta, c + <n(theta), centroid>);
+    ``min_value`` is the value on the centred points.  A family (``degenerate``)
+    is a scan whose values stay within ``_DEGENERATE_RTOL`` of a positive,
+    finite minimum, relative.
 
     If every refined direction overflows, the search reruns on the centred
     points times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is
@@ -290,19 +291,13 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
     scan_c, scan_values = _scan_values(arr, thetas, pv, _NEWTON_ITERS, counter)
 
-    # family test: how many well-separated scan arcs tie a value
-    arcs = np.minimum((thetas / MIN_THETA_SEPARATION).astype(int), 35)
-    arc_best = np.full(36, math.inf)
-    np.minimum.at(arc_best, arcs, scan_values)
+    lo = float(scan_values.min())
+    flat = 0.0 < lo < math.inf and float(scan_values.max()) - lo <= _DEGENERATE_RTOL * lo
 
-    def family(value: float) -> bool:
-        near = int(np.sum(arc_best <= value + _DEGENERATE_RTOL * (1.0 + abs(value))))
-        return near >= _DEGENERATE_ARCS
-
-    # starts, best scan value first: every circular local minimum of the scan,
-    # or, when the scan already shows a family, the best well-separated lanes
+    # starts, best scan value first: for a family the best well-separated
+    # lanes, else every circular local minimum (the best lane if all are equal)
     order = np.argsort(scan_values, kind="stable")
-    if family(float(scan_values[order[0]])):
+    if flat:
         starts: list[int] = []
         for idx in order.tolist():
             gaps = (abs(thetas[idx] - thetas[k]) for k in starts)
@@ -313,7 +308,7 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     else:
         minimum = ((scan_values <= np.roll(scan_values, 1))
                    & (scan_values < np.roll(scan_values, -1)))
-        starts = order[minimum[order]].tolist()
+        starts = order[minimum[order]].tolist() or [int(order[0])]
 
     theta_star, c_star, values = _refine(arr, pv, thetas, scan_c, starts, counter)
     if not np.all(values < math.inf):
@@ -324,7 +319,7 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     best, lines = _ties(sorted(refined, key=lambda t: t[0]), _VALUE_TOL, 1e-7)
 
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
-    return best, lines, family(best), residual
+    return best, lines, flat, residual
 
 
 def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,

@@ -75,9 +75,10 @@ SHAPES = {
 }
 
 # minimize-only shapes: a scaled copy whose scan lanes overflow at large p,
-# and a far-translated copy
+# a far-translated copy, and a polygon whose orbit has 15 lines
 MINIMIZE_SHAPES = {
     **SHAPES,
+    "15-gon": lambda: regular_polygon(15),
     "triangle-x5": lambda: 5.0 * np.array([tuple(q) for q in canonical_triangle()]),
     "triangle-shift1e6": lambda: np.array([tuple(q) for q in canonical_triangle()]) + 1e6,
 }
@@ -99,6 +100,8 @@ MINIMIZE_CASES = {
     # scan lanes overflow to inf
     "triangle-x5-p672.69": ("triangle-x5", 672.69),
     "triangle-shift1e6-p1.5": ("triangle-shift1e6", 1.5),
+    # a discrete orbit of 15 optimal lines, not a family
+    "15-gon-p1.5": ("15-gon", 1.5),
 }
 
 # the objective's building blocks on the cloud, at a fixed direction / line

@@ -190,8 +190,17 @@ class TestMinimize:
         assert report.optimal.min_value == pytest.approx(0.5, abs=1e-10)
 
     def test_not_degenerate_off_families(self):
-        for p in (1.25, 1.5, 3.0):
-            assert not minimize(TRI, p).optimal.degenerate
+        # a discrete orbit of 3 lines, however small its values or however
+        # close p is to a family exponent
+        tri = np.array([tuple(q) for q in TRI])
+        for scale, p in [(1.0, 1.25), (1.0, 1.5), (1.0, 3.0), (1.0, 60.0), (1.0, 400.0),
+                         (1.0, 2.0 - 1e-6), (1.0, 2.0 + 1e-6),
+                         (1.0, 4.0 / 3.0 - 1e-6), (1.0, 4.0 / 3.0 + 1e-6), (1e-6, 1.5)]:
+            optimal = minimize(scale * tri, p).optimal
+            assert len(optimal.lines) == 3, (scale, p)
+            assert not optimal.degenerate, (scale, p)
+        # every scan lane underflows to 0: a zero minimum is not a family
+        assert not minimize(1e-3 * tri, 1000.0).optimal.degenerate
 
     def test_stationarity_residual_bound(self, rng):
         for p in (1.2, 1.7, 2.4, 6.0):
@@ -277,6 +286,12 @@ class TestMinimize:
         report = minimize(TRI, 4.0 / 3.0)
         assert report.optimal.degenerate
         assert report.optimal.min_value == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-10)
+        # shifted 1e6 sizes, the input's rounding spreads a family's scan
+        # values by ~1e-10 relative, inside the family tolerance
+        for points, p in [(TRI, 4.0 / 3.0), (regular_polygon(5), 4.0)]:
+            pts = np.array([tuple(q) for q in points])
+            size = float(np.max(np.ptp(pts, axis=0)))
+            assert minimize(pts + 1e6 * size, p).optimal.degenerate, p
 
     def test_near_one_snaps_to_pair_line(self):
         # approaching p = 1 the optimum continues into a line through two
@@ -319,6 +334,11 @@ class TestRefinement:
     @pytest.mark.parametrize("n, p, count", [
         (9, 1.5, 9),
         (9, 3.0, 9),
+        (15, 1.5, 15),
+        (15, 2.5, 15),
+        (15, 3.0, 15),
+        (13, 3.9, 13),
+        (11, 3.99, 11),
         # symmetry-broken optima: an orbit of 2n lines
         (5, 1.2675, 10),
         (7, 1.24, 14),
