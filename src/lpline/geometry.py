@@ -234,13 +234,15 @@ def _slope_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
-    """``sum |r|^(p-2)`` along axis 0, each term times ``weight`` when one is
-    given: the objective's curvature in the residuals, divided by p (p - 1).
-    A zero residual adds 0 for p >= 2, and nan for p < 2, where its term is
-    infinite."""
-    sign = np.sign(r)
-    return _slope_sum(r, p - 1.0, sign if weight is None else sign * weight)
+def _power_terms(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) termwise from one power per term: the slope terms
+    s = sign(r) |r|^(p-1), bit for bit those of :func:`_slope_sum`, and the
+    curvature terms t = |r|^(p-2), taken as s / r (at r = 0, |0|^(p-2):
+    infinite for p < 2).  They are the objective's derivatives in the
+    residuals, divided by p and by p (p - 1)."""
+    s = np.copysign(np.abs(r) ** (p - 1.0), r)
+    zero_term = math.inf if p < 2.0 else float(p == 2.0)
+    return s, np.divide(s, r, out=np.full_like(s, zero_term), where=r != 0.0)
 
 
 def lp_objective(points, g: UnitLine, p) -> float:

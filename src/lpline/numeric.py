@@ -24,9 +24,9 @@ from .geometry import (
     first_order_residual,
     lp_objective,
     _as_xy,
-    _curvature_sum,
     _offsets,
     _power_sum,
+    _power_terms,
     _slope_sum,
 )
 from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
@@ -195,28 +195,29 @@ def _offset_roots(a: np.ndarray, pv: float, start: np.ndarray, iters: int,
     slope by :func:`_newton_lanes` in [min a, max a] from ``start``, on
     residuals divided by the largest one, so no sum overflows.  For p < 2,
     where the nearest offset's term carries over ``_KINK_SHARE`` of the
-    curvature, the iterate is Newton's in u = sign(t)|t|^(p-1) of that
-    residual t, in which that term is linear.  The caller sets np.errstate."""
+    curvature, the iterate is Newton's in u = sign(r)|r|^(p-1) of that
+    residual r, in which that term is linear.  Each round takes its sums
+    from the terms of :func:`_power_terms`, one power per term.  The caller sets np.errstate."""
     a_min, a_max = a.min(axis=0), a.max(axis=0)
     q = pv - 1.0
 
     def fd(x, off, a_lo, a_hi):
         w = 1.0 / np.maximum(x - a_lo, a_hi - x)
         r = (x - off) * w
-        f, curvature = _slope_sum(r, pv), _curvature_sum(r, pv)
+        s, t = _power_terms(r, pv)
+        f, curvature = s.sum(axis=0), t.sum(axis=0)
         new = x - f / (q * w * curvature)
         if pv < 2.0:
             cols = np.arange(x.size)
             near = np.argmin(np.abs(r), axis=0)
-            t = r[near, cols]
-            share = _curvature_sum(t[None, :], pv) / curvature
+            r_near, share = r[near, cols], t[near, cols] / curvature
             kink = ~(share <= _KINK_SHARE)
             if kink.any():
-                if not t.all():
-                    # on an offset (t = 0, share nan) du/df is 1 / (offsets there)
-                    share = np.where(t == 0.0, 1.0 / np.maximum(
+                if not r_near.all():
+                    # on an offset (t inf, share nan) du/df is 1 / (offsets there)
+                    share = np.where(r_near == 0.0, 1.0 / np.maximum(
                         np.count_nonzero(r == 0.0, axis=0), 1), share)
-                u = _slope_sum(t[None, :], pv) - f * share
+                u = s[near, cols] - f * share
                 new = np.where(kink, off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w,
                                new)
         return f, new, off, a_lo, a_hi
@@ -334,17 +335,18 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
     b = _offsets(arr, -sin_t, cos_t).T
     c = _offset_roots(a, pv, c, _NEWTON_ITERS, counter)
     r = c - a
-    s0, s1, s2 = _curvature_sum(r[:, None], pv, np.stack([np.ones_like(b), b, b * b], 1))
-    slope, envelope = -pv * _slope_sum(r[:, None], pv, np.stack([b, a], 1))
-    curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) - envelope
+    s, t = _power_terms(r, pv)
+    s0, s1, s2 = (v.sum(axis=0) for v in (t, t * b, t * (b * b)))
+    slope = -pv * (s * b).sum(axis=0)
+    curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) + pv * (s * a).sum(axis=0)
     cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
     pinned = np.abs(r[q, cols]) <= pin
     if pinned.any():
         r, w = a[q, cols] - a, b[q, cols] - b
-        # q's own term (r = w = 0) adds 0 once its residual is taken as 1
-        r_q = np.where(np.arange(len(a))[:, None] == q, 1.0, r)
-        slope = np.where(pinned, pv * _slope_sum(r, pv, w), slope)
-        curvature = np.where(pinned, pv * (pv - 1.0) * _curvature_sum(r_q, pv, w * w)
+        s, t = _power_terms(r, pv)
+        t[q, cols] = 0.0  # q's own term (r = w = 0) adds 0
+        slope = np.where(pinned, pv * (s * w).sum(axis=0), slope)
+        curvature = np.where(pinned, pv * (pv - 1.0) * (t * (w * w)).sum(axis=0)
                              - pv * _power_sum(r, pv), curvature)
     return slope, curvature, c
 
@@ -411,6 +413,7 @@ def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
     pv = pn.value
     arr = _as_xy(points)
     resid = g.c - _offsets(arr, *g.normal())
-    df_dc = pv * float(_slope_sum(resid, pv))
-    df_dtheta = pv * float(_slope_sum(resid, pv, -_offsets(arr, *g.direction())))
+    terms = _power_terms(resid, pv)[0]
+    df_dc = pv * float(terms.sum())
+    df_dtheta = pv * float((terms * -_offsets(arr, *g.direction())).sum())
     return df_dtheta, df_dc

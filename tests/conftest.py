@@ -28,10 +28,19 @@ from lpline import (
 from lpline.exact import (
     OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _check_points, _ties)
 from lpline.fileio import SWEEP_HEADER, SweepRow
-from lpline.geometry import _as_xy, _curvature_sum, _offsets, _power_sum, _slope_sum
+from lpline.geometry import _as_xy, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
 from lpline.triangle import bisect_sign, family_member, reduced_to_line
 from lpline.verification import _partial_sum, remainder_coefficients
+
+
+def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
+    """``sum |r|^(p-2)`` along axis 0, each term times ``weight`` when one is
+    given: the objective's curvature in the residuals, divided by p (p - 1).
+    A zero residual adds 0 for p >= 2, and nan for p < 2, where its term is
+    infinite."""
+    sign = np.sign(r)
+    return _slope_sum(r, p - 1.0, sign if weight is None else sign * weight)
 
 
 def point_line_distance(p, g: UnitLine) -> float:

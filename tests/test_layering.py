@@ -83,7 +83,8 @@ def _is_np_isfinite(node) -> bool:
 
 def test_power_sums_live_in_geometry():
     assert _owners(PACKAGE / "numeric.py", _is_variable_power) == set()
-    assert _owners(PACKAGE / "geometry.py", _is_variable_power) <= {"_power_sum", "_slope_sum"}
+    assert _owners(PACKAGE / "geometry.py", _is_variable_power) <= {
+        "_power_sum", "_slope_sum", "_power_terms"}
 
 
 def test_points_are_projected_in_one_place():

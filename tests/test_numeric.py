@@ -22,14 +22,14 @@ from lpline import (
 )
 from lpline import numeric, triangle
 from lpline.exact import DegenerateInputError
-from lpline.geometry import (
-    _as_xy, _curvature_sum, _offsets, _power_sum, _slope_sum, lines_close)
+from lpline.geometry import _as_xy, _offsets, _power_sum, _slope_sum, lines_close
 from lpline.numeric import _VALUE_TOL, golden_section
 from lpline.triangle import (
     bisect_sign, canonical_triangle, locate_transitions, side_parallel_offset,
     side_parallel_value)
 
 from conftest import (
+    _curvature_sum,
     band_with_outlier,
     bisect_sign_reference,
     brute_force_oracle,
