@@ -61,6 +61,8 @@ _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
 _NEWTON_ITERS = 100
+# a theta lane stops once |profile slope| <= this * eps * p * sum |s_j b_j|
+_SLOPE_ROUNDING = 8.0
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,14 @@ def _newton_lanes(fd, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, iters: int,
                   counter: _Counter, *aux: np.ndarray) -> np.ndarray:
     """The root of an increasing function on each lane, between ``lo``
     (f < 0) and ``hi`` (f > 0), by safeguarded Newton (``rtsafe``) from ``x``.
-    ``fd(x, *aux)`` returns (f, Newton iterate, *aux) on the running lanes,
-    where ``aux`` are per-lane arrays (lanes last).  A lane takes its iterate
-    only inside its sign bracket and at most half the step before last, else
-    bisects.  It stops on an exact 0, when its bracket is within eps times
-    its larger end or its step within twice that (a step at rounding noise
-    would creep an ulp at a time), or after ``iters`` rounds.  Each round
-    adds one per running lane to ``counter``."""
+    ``fd(x, *aux)`` returns (f, bound, Newton iterate, *aux) on the running
+    lanes, where ``bound`` is the rounding bound of each lane's f (or 0) and
+    ``aux`` are per-lane arrays (lanes last).  A lane takes its iterate only
+    inside its sign bracket and at most half the step before last, else
+    bisects.  It stops once |f| <= bound (with bound 0, on an exact 0), when
+    its bracket is within eps times its larger end or its step within twice
+    that (a step at rounding noise would creep an ulp at a time), or after
+    ``iters`` rounds.  Each round adds one per running lane to ``counter``."""
     out, lane = x.copy(), np.arange(x.size)
     tol = _EPS * np.maximum(np.abs(lo), np.abs(hi))
     last = before = hi - lo
@@ -176,15 +179,16 @@ def _newton_lanes(fd, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, iters: int,
                 v[run] for v in (lane, lo, hi, x, tol, last, before))
             aux = [v[..., run] for v in aux]
         counter.n += lane.size
-        f, new, *aux = fd(x, *aux)
+        f, bound, new, *aux = fd(x, *aux)
         below = f < 0.0
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         width = hi - lo
         step = np.abs(x - new)
         newton = (lo <= new) & (new <= hi) & (step <= 0.5 * before)
         before, last = last, np.where(newton, step, 0.5 * width)
-        done = (f == 0.0) | (width <= tol) | (step <= 2.0 * tol)
-        x = np.where(newton, new, np.where(done, x, 0.5 * (lo + hi)))
+        settled = np.abs(f) <= bound
+        done = settled | (width <= tol) | (step <= 2.0 * tol)
+        x = np.where(newton & ~settled, new, np.where(done, x, 0.5 * (lo + hi)))
     out[lane] = x
     return out
 
@@ -220,7 +224,7 @@ def _offset_roots(a: np.ndarray, pv: float, start: np.ndarray, iters: int,
                 u = s[near, cols] - f * share
                 new = np.where(kink, off[near, cols] + _slope_sum(u[None, :], 1.0 + 1.0 / q) / w,
                                new)
-        return f, new, off, a_lo, a_hi
+        return f, 0.0, new, off, a_lo, a_hi
 
     return _newton_lanes(fd, a_min, a_max, np.minimum(np.maximum(start, a_min), a_max), iters,
                          counter, a, a_min, a_max)
@@ -325,11 +329,18 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
 
 def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
                     pin: float, counter: _Counter):
-    """(phi', phi'', c*) of the profile phi = min_c f on each lane theta,
-    with c* from :func:`_offset_roots` warm-started at ``c``.  Where c* sits
-    within ``pin`` of a point q, f_c is not resolved, so they are the
+    """(phi', bound, phi'', c*) of the profile phi = min_c f on each lane
+    theta, with c* from :func:`_offset_roots` warm-started at ``c``.  Where
+    c* sits within ``pin`` of a point q, f_c is not resolved, so they are the
     derivatives along the line through q (q's term eliminated), the
-    search's only through-point path."""
+    search's only through-point path.
+
+    ``bound`` = ``_SLOPE_ROUNDING`` * eps * p * sum |s_j b_j| is the rounding
+    of the slope phi' = -p sum s_j b_j just summed (the first-order bound of
+    a sum, Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 4.2, with a few roundings per term).  Within it the computed sign
+    of phi' is noise, so a Newton search on it only random-walks, and phi
+    itself is stationary there to second order."""
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
     a = _offsets(arr, cos_t, sin_t).T  # (m, lanes), each lane contiguous
     b = _offsets(arr, -sin_t, cos_t).T
@@ -337,7 +348,8 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
     r = c - a
     s, t = _power_terms(r, pv)
     s0, s1, s2 = (v.sum(axis=0) for v in (t, t * b, t * (b * b)))
-    slope = -pv * (s * b).sum(axis=0)
+    sb = s * b
+    slope, bound = -pv * sb.sum(axis=0), _SLOPE_ROUNDING * _EPS * pv * np.abs(sb).sum(axis=0)
     curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) + pv * (s * a).sum(axis=0)
     cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
     pinned = np.abs(r[q, cols]) <= pin
@@ -345,10 +357,12 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
         r, w = a[q, cols] - a, b[q, cols] - b
         s, t = _power_terms(r, pv)
         t[q, cols] = 0.0  # q's own term (r = w = 0) adds 0
-        slope = np.where(pinned, pv * (s * w).sum(axis=0), slope)
+        sw = s * w
+        slope = np.where(pinned, pv * sw.sum(axis=0), slope)
+        bound = np.where(pinned, _SLOPE_ROUNDING * _EPS * pv * np.abs(sw).sum(axis=0), bound)
         curvature = np.where(pinned, pv * (pv - 1.0) * (t * (w * w)).sum(axis=0)
                              - pv * _power_sum(r, pv), curvature)
-    return slope, curvature, c
+    return slope, bound, curvature, c
 
 
 def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
@@ -376,9 +390,9 @@ def _refine(arr: np.ndarray, pv: float, thetas: np.ndarray, scan_c: np.ndarray,
     c = scan_c[idx]  # each start's last root
 
     def fd(theta, ids):
-        slope, curvature, c[ids] = _profile_slopes(arr, theta, c[ids], pv, pin, counter)
+        slope, bound, curvature, c[ids] = _profile_slopes(arr, theta, c[ids], pv, pin, counter)
         valid = (0.0 < curvature) & (curvature < math.inf)
-        return slope, np.where(valid, theta - slope / curvature, math.nan), ids
+        return slope, bound, np.where(valid, theta - slope / curvature, math.nan), ids
 
     theta, x = th0.copy(), th0[bracket]
     theta[bracket] = _newton_lanes(fd, x - step, x + step, x, _NEWTON_ITERS, counter, bracket)

@@ -366,6 +366,32 @@ class TestRefinement:
         # finds in one or two rounds
         assert minimize(points, p).evaluations <= bound
 
+    @pytest.mark.parametrize("points, p", [
+        (regular_polygon(12), 1.49), (regular_polygon(6), 1.57),
+        (TRI, 4.0 / 3.0 - 1e-6), (TRI, 2.0 + 1e-6),
+    ], ids=["12-gon-p1.49", "6-gon-p1.57", "triangle-p4/3-1e-6", "triangle-p2+1e-6"])
+    def test_theta_lanes_stop_at_the_slope_rounding_bound(self, points, p, monkeypatch):
+        # near the polygon pencils and the triangle's transitions the profile
+        # is nearly flat, and its computed slope is rounding noise within a
+        # few rounds; a lane stops there instead of stepping ulps at a time
+        # (46, 46, 29 and 24 profile evaluations when it stopped only on an
+        # exact 0 or a step at float resolution)
+        profile_slopes, calls = numeric._profile_slopes, []
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return profile_slopes(*args)
+
+        monkeypatch.setattr(numeric, "_profile_slopes", counted)
+        got = minimize(points, p).optimal
+        assert len(calls) <= 8
+        monkeypatch.setattr(numeric, "_refine", refine_reference)
+        want = minimize(points, p).optimal
+        assert len(got.lines) == len(want.lines)
+        for g in got.lines:
+            assert any(lines_close(g, h, 1e-9) for h in want.lines)
+        assert abs(got.min_value - want.min_value) <= 1e-12 * want.min_value
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         m=st.integers(5, 30),
