@@ -47,7 +47,7 @@ __all__ = [
 _TIE_RTOL = 1e-12
 # relative eigenvalue-gap tolerance for declaring the scatter isotropic
 TOL_ISO = 1e-9
-# offsets scored at once by solve_pinf
+# offsets scored at once by solve_p1 and solve_pinf
 _PAIR_BLOCK = 1 << 16
 
 
@@ -121,17 +121,32 @@ def _ties(candidates: list[tuple[float, UnitLine]], rtol: float = _TIE_RTOL,
 
 
 def solve_p1(points) -> OptimalSet:
-    """Minimize the sum of distances: enumerate all lines through point pairs."""
+    """Minimize the sum of distances over the lines through point pairs, scored
+    as arrays ``_PAIR_BLOCK`` offsets at a time; the pairs whose scores can tie
+    the best become lines, in pair order, with exact values for :func:`_ties`."""
     arr = _check_points(points)
     eps = _eps_zero(arr)
+    first, second = np.triu_indices(len(arr), 1)
+    d = arr[second] - arr[first]
+    norm = np.hypot(d[:, 0], d[:, 1])
+    keep = norm != 0.0
+    first, second, d, norm = first[keep], second[keep], d[keep], norm[keep]
+    nx, ny = -d[:, 1] / norm, d[:, 0] / norm
+    c, scores = _offsets(arr[first], nx, ny), np.empty_like(nx)
+    size = max(1, _PAIR_BLOCK // len(arr))
+    for k in range(0, len(nx), size):
+        offsets = _offsets(arr, nx[k:k + size, None], ny[k:k + size, None])
+        scores[k:k + size] = np.abs(c[k:k + size, None] - offsets).sum(axis=1)
+    # |score - exact value| < delta: the rounding of the normal, offsets and sum
+    best = float(scores.min())
+    delta = 32.0 * np.finfo(float).eps * len(arr) * (float(np.max(np.abs(arr).sum(axis=1))) + best)
+    limit = best + 2.0 * delta + _TIE_RTOL * (1.0 + best + delta)
+    near = scores <= limit if math.isfinite(limit) else np.ones(scores.shape, bool)
 
     candidates: list[tuple[float, UnitLine]] = []
-    for i, j in combinations(range(len(arr)), 2):
-        if np.array_equal(arr[i], arr[j]):
-            continue
+    for i, j in zip(first[near].tolist(), second[near].tolist()):
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
-
     best, lines = _ties(candidates)
 
     families: list[FamilyDescriptor] = []

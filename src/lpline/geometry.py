@@ -235,11 +235,10 @@ def _slope_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
 
 
 def _power_terms(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) termwise from one power per term: the slope terms
-    s = sign(r) |r|^(p-1), bit for bit those of :func:`_slope_sum`, and the
-    curvature terms t = |r|^(p-2), taken as s / r (at r = 0, |0|^(p-2):
-    infinite for p < 2).  They are the objective's derivatives in the
-    residuals, divided by p and by p (p - 1)."""
+    """(s, t) from one power per term: the objective's slope and curvature
+    terms in the residuals, divided by p and p (p - 1).  s = sign(r) |r|^(p-1)
+    bit for bit as in :func:`_slope_sum`, and t = |r|^(p-2) as s / r (at
+    r = 0, |0|^(p-2): infinite for p < 2)."""
     s = np.copysign(np.abs(r) ** (p - 1.0), r)
     zero_term = math.inf if p < 2.0 else float(p == 2.0)
     return s, np.divide(s, r, out=np.full_like(s, zero_term), where=r != 0.0)

@@ -61,7 +61,7 @@ _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
 _NEWTON_ITERS = 100
-# a theta lane stops once |profile slope| <= this * eps * p * sum |s_j b_j|
+# the profile slope's rounding bound, in eps p sum |s_j b_j| (tests pass at 2-1e3)
 _SLOPE_ROUNDING = 8.0
 
 
@@ -157,14 +157,14 @@ def _newton_lanes(fd, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, iters: int,
                   counter: _Counter, *aux: np.ndarray) -> np.ndarray:
     """The root of an increasing function on each lane, between ``lo``
     (f < 0) and ``hi`` (f > 0), by safeguarded Newton (``rtsafe``) from ``x``.
-    ``fd(x, *aux)`` returns (f, bound, Newton iterate, *aux) on the running
-    lanes, where ``bound`` is the rounding bound of each lane's f (or 0) and
-    ``aux`` are per-lane arrays (lanes last).  A lane takes its iterate only
-    inside its sign bracket and at most half the step before last, else
-    bisects.  It stops once |f| <= bound (with bound 0, on an exact 0), when
-    its bracket is within eps times its larger end or its step within twice
-    that (a step at rounding noise would creep an ulp at a time), or after
-    ``iters`` rounds.  Each round adds one per running lane to ``counter``."""
+    ``fd(x, *aux)`` returns (f, f's rounding bound or 0, Newton iterate, *aux)
+    on the running lanes, ``aux`` being per-lane arrays (lanes last).  A lane
+    takes its iterate only inside its sign bracket and at most half the step
+    before last, else bisects.  It stops where |f| <= bound (on an exact 0 for
+    bound 0), when its bracket is within eps times its larger end or its step
+    within twice that (a step at rounding noise would creep an ulp at a
+    time), or after ``iters`` rounds, adding one per running lane and round
+    to ``counter``."""
     out, lane = x.copy(), np.arange(x.size)
     tol = _EPS * np.maximum(np.abs(lo), np.abs(hi))
     last = before = hi - lo
@@ -200,8 +200,8 @@ def _offset_roots(a: np.ndarray, pv: float, start: np.ndarray, iters: int,
     residuals divided by the largest one, so no sum overflows.  For p < 2,
     where the nearest offset's term carries over ``_KINK_SHARE`` of the
     curvature, the iterate is Newton's in u = sign(r)|r|^(p-1) of that
-    residual r, in which that term is linear.  Each round takes its sums
-    from the terms of :func:`_power_terms`, one power per term.  The caller sets np.errstate."""
+    residual r, in which that term is linear.  A round's sums come from one
+    :func:`_power_terms` call; the caller sets np.errstate."""
     a_min, a_max = a.min(axis=0), a.max(axis=0)
     q = pv - 1.0
 
@@ -333,14 +333,9 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
     theta, with c* from :func:`_offset_roots` warm-started at ``c``.  Where
     c* sits within ``pin`` of a point q, f_c is not resolved, so they are the
     derivatives along the line through q (q's term eliminated), the
-    search's only through-point path.
-
-    ``bound`` = ``_SLOPE_ROUNDING`` * eps * p * sum |s_j b_j| is the rounding
-    of the slope phi' = -p sum s_j b_j just summed (the first-order bound of
-    a sum, Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 4.2, with a few roundings per term).  Within it the computed sign
-    of phi' is noise, so a Newton search on it only random-walks, and phi
-    itself is stationary there to second order."""
+    search's only through-point path.  ``bound`` is the rounding of phi' =
+    -p sum s_j b_j (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, 4.2); within it phi' has no sign, and Newton steps random-walk."""
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
     a = _offsets(arr, cos_t, sin_t).T  # (m, lanes), each lane contiguous
     b = _offsets(arr, -sin_t, cos_t).T
@@ -349,7 +344,6 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
     s, t = _power_terms(r, pv)
     s0, s1, s2 = (v.sum(axis=0) for v in (t, t * b, t * (b * b)))
     sb = s * b
-    slope, bound = -pv * sb.sum(axis=0), _SLOPE_ROUNDING * _EPS * pv * np.abs(sb).sum(axis=0)
     curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) + pv * (s * a).sum(axis=0)
     cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
     pinned = np.abs(r[q, cols]) <= pin
@@ -357,11 +351,10 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
         r, w = a[q, cols] - a, b[q, cols] - b
         s, t = _power_terms(r, pv)
         t[q, cols] = 0.0  # q's own term (r = w = 0) adds 0
-        sw = s * w
-        slope = np.where(pinned, pv * sw.sum(axis=0), slope)
-        bound = np.where(pinned, _SLOPE_ROUNDING * _EPS * pv * np.abs(sw).sum(axis=0), bound)
+        sb = np.where(pinned, -s * w, sb)
         curvature = np.where(pinned, pv * (pv - 1.0) * (t * (w * w)).sum(axis=0)
                              - pv * _power_sum(r, pv), curvature)
+    slope, bound = -pv * sb.sum(axis=0), _SLOPE_ROUNDING * _EPS * pv * np.abs(sb).sum(axis=0)
     return slope, bound, curvature, c
 
 
@@ -426,8 +419,7 @@ def objective_gradient(points, g: UnitLine, p) -> tuple[float, float]:
         raise ValueError("gradient requires finite p")
     pv = pn.value
     arr = _as_xy(points)
-    resid = g.c - _offsets(arr, *g.normal())
-    terms = _power_terms(resid, pv)[0]
+    terms = _power_terms(g.c - _offsets(arr, *g.normal()), pv)[0]
     df_dc = pv * float(terms.sum())
     df_dtheta = pv * float((terms * -_offsets(arr, *g.direction())).sum())
     return df_dtheta, df_dc

@@ -28,7 +28,7 @@ from lpline import (
 from lpline.exact import (
     OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _check_points, _ties)
 from lpline.fileio import SWEEP_HEADER, SweepRow
-from lpline.geometry import _as_xy, _offsets, _power_sum, _slope_sum
+from lpline.geometry import _as_xy, _eps_zero, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
 from lpline.triangle import bisect_sign, family_member, reduced_to_line
 from lpline.verification import _partial_sum, remainder_coefficients
@@ -326,6 +326,35 @@ def bisect_sign_reference(f, lo: float, hi: float, iters: int, width: float = 0.
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def solve_p1_reference(points) -> OptimalSet:
+    """``exact.solve_p1`` as a loop over point pairs, each pair's line scored
+    exactly: the brute-force oracle of the p = 1 solver."""
+    arr = _check_points(points)
+    eps = _eps_zero(arr)
+
+    candidates: list[tuple[float, UnitLine]] = []
+    for i, j in combinations(range(len(arr)), 2):
+        if np.array_equal(arr[i], arr[j]):
+            continue
+        g = line_through(arr[i], arr[j])
+        candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
+
+    best, lines = _ties(candidates)
+
+    families = []
+    for g1, g2 in combinations(lines, 2):
+        dt = abs(g1.theta - g2.theta)
+        if min(dt, abs(dt - math.pi)) > 1e-9:
+            continue
+        c1, c2 = g1.c, (g2.c if dt < 1.0 else -g2.c)
+        offsets = _offsets(arr, *g1.normal())
+        lo, hi = min(c1, c2), max(c1, c2)
+        inside = np.any((offsets > lo + eps) & (offsets < hi - eps))
+        if not inside:
+            families.append(ParallelStrip(g1, g2))
+    return OptimalSet(best, tuple(lines), tuple(families))
 
 
 def solve_pinf_reference(points) -> OptimalSet:

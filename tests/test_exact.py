@@ -27,6 +27,7 @@ from conftest import (
     random_isometry,
     refined_oracle,
     regular_polygon,
+    solve_p1_reference,
     solve_pinf_reference,
     transform_line,
 )
@@ -37,7 +38,7 @@ RIGHT = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)]
 
 
 @st.composite
-def pinf_inputs(draw):
+def pair_inputs(draw):
     """Gaussian clouds, regular polygons and integer grids with repeated
     points, scaled by 1e-3 to 1e3 and shifted by up to 1e9."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -100,6 +101,17 @@ class TestSolveP1:
         assert opt.min_value == pytest.approx(0.0, abs=1e-12)
         assert len(opt.lines) == 1  # all six pair lines coincide
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pts=pair_inputs())
+    def test_matches_the_pair_loop(self, pts):
+        try:
+            want = solve_p1_reference(pts)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                solve_p1(pts)
+            return
+        assert solve_p1(pts) == want
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
             solve_p1([Point2(1.0, 1.0), Point2(1.0, 1.0)])
@@ -159,7 +171,7 @@ class TestSolvePinf:
         assert opt.min_value == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(pts=pinf_inputs())
+    @given(pts=pair_inputs())
     def test_matches_the_pair_loop(self, pts):
         try:
             want = solve_pinf_reference(pts)
