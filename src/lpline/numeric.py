@@ -61,7 +61,7 @@ _VALUE_TOL = 1e-10
 _MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
 _NEWTON_ITERS = 100
-# the profile slope's rounding bound, in eps p sum |s_j b_j| (tests pass at 2-1e3)
+# the profile slope's rounding bound, in eps p sum |s_j b_j| (test_numeric: 2 to 1024 pass)
 _SLOPE_ROUNDING = 8.0
 
 
@@ -76,9 +76,9 @@ class SolveReport:
     line through two points, the balancing terms sit below float resolution
     and the reported defect stays O(1) though the line is exact.
 
-    ``evaluations`` counts one per lane and round of every Newton search (the
-    scan's offsets, the refinement's theta and its offsets, including the
-    final offsets).
+    ``evaluations`` counts one per lane and round of every Newton search: the
+    scan's offsets, the refinement's theta (a lane stops at its slope's
+    rounding bound) and its offsets, and the final offsets.
     """
 
     optimal: OptimalSet
