@@ -344,7 +344,7 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
     s, t = _power_terms(r, pv)
     s0, s1, s2 = (v.sum(axis=0) for v in (t, t * b, t * (b * b)))
     sb = s * b
-    curvature = pv * (pv - 1.0) * (s2 - s1 * s1 / s0) + pv * (s * a).sum(axis=0)
+    curvature = pv * (pv - 1.0) * (s2 - s1 * (s1 / s0)) + pv * (s * a).sum(axis=0)
     cols, q = np.arange(theta.size), np.argmin(np.abs(r), axis=0)
     pinned = np.abs(r[q, cols]) <= pin
     if pinned.any():

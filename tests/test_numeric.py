@@ -392,6 +392,24 @@ class TestRefinement:
             assert any(lines_close(g, h, 1e-9) for h in want.lines)
         assert abs(got.min_value - want.min_value) <= 1e-12 * want.min_value
 
+    @pytest.mark.parametrize("points, p, bound", [
+        (5.0 * _as_xy(TRI), 672.69, 4), (band_with_outlier(), 900.0, 12),
+    ], ids=["triangle-x5-p672.69", "band-outlier-p900"])
+    def test_large_p_curvature_keeps_newton_steps(self, points, p, bound, monkeypatch):
+        # the profile curvature's s1 (s1 / s0) stays finite where s1 * s1
+        # overflows; with the overflowed curvature every theta step was
+        # invalid and each lane bisected to its step stop (47 profile
+        # evaluations on both inputs)
+        profile_slopes, calls = numeric._profile_slopes, []
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return profile_slopes(*args)
+
+        monkeypatch.setattr(numeric, "_profile_slopes", counted)
+        minimize(points, p)
+        assert len(calls) <= bound
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         m=st.integers(5, 30),
