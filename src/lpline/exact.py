@@ -103,16 +103,17 @@ def _check_points(points) -> np.ndarray:
     return arr
 
 
-def _ties(candidates: list[tuple[float, UnitLine]], rtol: float = _TIE_RTOL,
+def _ties(candidates: list[tuple[float, UnitLine]], tol: float,
           atol: float = 1e-9) -> tuple[float, list[UnitLine]]:
-    """The best value and the distinct lines tying with it within ``rtol``
-    (relative to ``1 + |best|``), sorted by (theta, c).
+    """The best value and the distinct lines tying with it, value <= best +
+    ``tol``, sorted by (theta, c).  The closed forms pass ``_TIE_RTOL (1 +
+    |best|)``, and :func:`~lpline.numeric.minimize` its value's rounding
+    bound: a tie means "indistinguishable at the resolution of the values".
 
     Candidates are taken in the given order; a tying line within ``atol`` of
     one already kept is dropped.
     """
     best = min(v for v, _ in candidates)
-    tol = rtol * (1.0 + abs(best))
     kept: list[UnitLine] = []
     for v, g in candidates:
         if v <= best + tol and not any(lines_close(g, h, atol) for h in kept):
@@ -147,7 +148,7 @@ def solve_p1(points) -> OptimalSet:
     for i, j in zip(first[near].tolist(), second[near].tolist()):
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
-    best, lines = _ties(candidates)
+    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + min(v for v, _ in candidates)))
 
     families: list[FamilyDescriptor] = []
     for g1, g2 in combinations(lines, 2):
@@ -223,7 +224,8 @@ def solve_pinf(points) -> OptimalSet:
         lo[k:k + size], hi[k:k + size] = offsets.min(axis=1), offsets.max(axis=1)
     values, mids = 0.5 * (hi - lo), 0.5 * (lo + hi)
     best = min(values.tolist())
-    near = (values <= best + _TIE_RTOL * (1.0 + abs(best))) | math.isnan(best)
+    tol = _TIE_RTOL * (1.0 + abs(best))
+    near = (values <= best + tol) | math.isnan(best)
     best, lines = _ties([(v, canonicalize(UnitLine(math.atan2(y, x), c))) for v, x, y, c
-                         in zip(*(u[near].tolist() for u in (values, nx, ny, mids)))])
+                         in zip(*(u[near].tolist() for u in (values, nx, ny, mids)))], tol)
     return OptimalSet(best, tuple(lines))

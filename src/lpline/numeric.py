@@ -42,12 +42,9 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
-# a family's starts are scan lanes at least this far apart in theta
+# a family's starts: at most this many scan lanes, at least this far apart in theta
+_MULTISTART_KEEP = 8
 MIN_THETA_SEPARATION = math.pi / 36.0
-# a family: scan values within this of their minimum, relative.  Families
-# spread <= 2.1e-15 (6.7e-9 shifted 1e7 sizes: the pentagon at p = 4, the 7-gon
-# at p = 6); the nearest orbit measured (the triangle, p = 2 + 1e-6) 8.7e-8
-_DEGENERATE_RTOL = 1e-8
 # theta scan: lanes over [0, pi)
 _THETA_SAMPLES = 720
 # scan start: the mean offset (the root at p = 2) up to this p, the midrange
@@ -56,13 +53,10 @@ _MEAN_START_P = 4.0
 # for p < 2 a scan lane linearizes the slope term of its nearest offset when
 # that term carries more than this share of the curvature
 _KINK_SHARE = 0.25
-# refinement: the tie tolerance (relative), and the starts kept for a family
-_VALUE_TOL = 1e-10
-_MULTISTART_KEEP = 8
 # cap on the evaluations of one safeguarded Newton search
 _NEWTON_ITERS = 100
-# the profile slope's rounding bound, in eps p sum |s_j b_j| (test_numeric: 2 to 1024 pass)
-_SLOPE_ROUNDING = 8.0
+# a theta lane's stop, the ties and the family test: within this many rounding bounds
+_ROUNDING = 8.0
 
 
 @dataclass(frozen=True)
@@ -252,9 +246,11 @@ def minimize(points, p) -> SolveReport:
     lane's bracket (:func:`_refine`); for a family the best well-separated
     lanes are the starts instead.  All distinct lines tying with the best
     value are returned, each mapped back once as (theta, c + <n(theta), centroid>);
-    ``min_value`` is the value on the centred points.  A family (``degenerate``)
-    is a scan whose values stay within ``_DEGENERATE_RTOL`` of a positive,
-    finite minimum, relative.
+    ``min_value`` is the value on the centred points.  Lines tie, and a scan
+    is a family (``degenerate``: its values spread over a positive, finite
+    minimum), within ``_ROUNDING`` = 8 times beta (:func:`_tie_bound`):
+    "indistinguishable at the input's resolution".  So orbits flat at float
+    resolution read as families (the 21- and 25-gons at p = 19.5: 2.9, 0.74 beta).
 
     If every refined direction overflows, the search reruns on the centred
     points times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is
@@ -265,6 +261,7 @@ def minimize(points, p) -> SolveReport:
         raise ValueError("use exact solver")
     arr = _check_points(points)
     centre = arr.mean(axis=0)
+    delta = _EPS * float(max(np.max(np.abs(arr)), np.max(np.abs(arr - centre))))
     arr = arr - centre
     counter, k = _Counter(), 0
     # sums far from the optimum may overflow to inf (or to nan, for a slope
@@ -272,10 +269,10 @@ def minimize(points, p) -> SolveReport:
     # should.  A zero residual makes a curvature term infinite for p < 2; the
     # Newton searches then bisect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        found = _search(arr, pn, counter)
+        found = _search(arr, pn, delta, counter)
         if found is None:
             k = math.frexp(float(np.max(np.ptp(arr, axis=0))))[1] - 1
-            found = _search(np.ldexp(arr, -k), pn, counter) if k > 0 else None
+            found = _search(np.ldexp(arr, -k), pn, math.ldexp(delta, -k), counter) if k else None
             if found is not None:
                 found = (min(lp_objective(arr, UnitLine(g.theta, math.ldexp(g.c, k)), pn)
                              for g in found[1]), *found[1:])
@@ -288,7 +285,7 @@ def minimize(points, p) -> SolveReport:
     return SolveReport(OptimalSet(best, lines, (), degenerate=degenerate), residual, counter.n)
 
 
-def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
+def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
     """:func:`minimize` on ``arr``: (best, lines, degenerate, stationarity
     residual), or None if the refined direction of a start overflows."""
     pv = pn.value
@@ -296,12 +293,12 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
     scan_c, scan_values = _scan_values(arr, thetas, pv, _NEWTON_ITERS, counter)
 
-    lo = float(scan_values.min())
-    flat = 0.0 < lo < math.inf and float(scan_values.max()) - lo <= _DEGENERATE_RTOL * lo
-
     # starts, best scan value first: for a family the best well-separated
     # lanes, else every circular local minimum (the best lane if all are equal)
     order = np.argsort(scan_values, kind="stable")
+    i, lo = int(order[0]), float(scan_values[order[0]])
+    flat = 0.0 < lo < math.inf and float(scan_values.max()) - lo <= _tie_bound(
+        arr, UnitLine(thetas[i], scan_c[i]), lo, pv, delta)
     if flat:
         starts: list[int] = []
         for idx in order.tolist():
@@ -321,10 +318,21 @@ def _search(arr: np.ndarray, pn: PNorm, counter: _Counter):
     refined = [(value, canonicalize(UnitLine(theta, c)))
                for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist())]
 
-    best, lines = _ties(sorted(refined, key=lambda t: t[0]), _VALUE_TOL, 1e-7)
+    refined.sort(key=lambda t: t[0])
+    best, lines = _ties(refined, _tie_bound(arr, refined[0][1], refined[0][0], pv, delta), 1e-7)
 
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
     return best, lines, flat, residual
+
+
+def _tie_bound(arr: np.ndarray, g: UnitLine, value: float, pv: float, delta: float) -> float:
+    """``_ROUNDING`` beta for the line g of value sum |r_j|^p.  beta = p delta
+    sqrt(2) sum |r_j|^(p-1) + eps log2(m) sum |r_j|^p, delta = eps max(max
+    |input coordinate|, max |centred coordinate|) (scaled with the retry's
+    copy): the value's change when every coordinate moves by delta, to first
+    order, plus its pairwise sum's rounding (Higham 2002, 4.2)."""
+    s = float(np.abs(_power_terms(g.c - _offsets(arr, *g.normal()), pv)[0]).sum())
+    return _ROUNDING * (pv * delta * math.sqrt(2.0) * s + _EPS * math.log2(len(arr)) * value)
 
 
 def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,
@@ -354,7 +362,7 @@ def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float
         sb = np.where(pinned, -s * w, sb)
         curvature = np.where(pinned, pv * (pv - 1.0) * (t * (w * w)).sum(axis=0)
                              - pv * _power_sum(r, pv), curvature)
-    slope, bound = -pv * sb.sum(axis=0), _SLOPE_ROUNDING * _EPS * pv * np.abs(sb).sum(axis=0)
+    slope, bound = -pv * sb.sum(axis=0), _ROUNDING * _EPS * pv * np.abs(sb).sum(axis=0)
     return slope, bound, curvature, c
 
 

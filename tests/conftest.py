@@ -26,7 +26,8 @@ from lpline import (
     lp_objective,
 )
 from lpline.exact import (
-    OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _check_points, _ties)
+    OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _TIE_RTOL, _check_points,
+    _ties)
 from lpline.fileio import SWEEP_HEADER, SweepRow
 from lpline.geometry import _as_xy, _eps_zero, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
@@ -341,7 +342,8 @@ def solve_p1_reference(points) -> OptimalSet:
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
 
-    best, lines = _ties(candidates)
+    best = min(v for v, _ in candidates)
+    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
 
     families = []
     for g1, g2 in combinations(lines, 2):
@@ -374,7 +376,8 @@ def solve_pinf_reference(points) -> OptimalSet:
         g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
         candidates.append((0.5 * (hi - lo), g))
 
-    best, lines = _ties(candidates)
+    best = min(v for v, _ in candidates)
+    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
     return OptimalSet(best, tuple(lines))
 
 
