@@ -148,7 +148,7 @@ def solve_p1(points) -> OptimalSet:
     for i, j in zip(first[near].tolist(), second[near].tolist()):
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
-    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + min(v for v, _ in candidates)))
+    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(min(v for v, _ in candidates))))
 
     families: list[FamilyDescriptor] = []
     for g1, g2 in combinations(lines, 2):

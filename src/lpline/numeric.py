@@ -61,7 +61,8 @@ _ROUNDING = 8.0
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver result plus diagnostics.
+    """Solver result plus diagnostics.  Tied lines, and ``optimal.degenerate``,
+    mean "indistinguishable at the input's resolution" (8 beta, :func:`minimize`).
 
     ``stationarity_residual`` is the worst first-order offset defect over the
     returned lines, in the centred copy that :func:`minimize` solves (scaled
@@ -272,7 +273,8 @@ def minimize(points, p) -> SolveReport:
         found = _search(arr, pn, delta, counter)
         if found is None:
             k = math.frexp(float(np.max(np.ptp(arr, axis=0))))[1] - 1
-            found = _search(np.ldexp(arr, -k), pn, math.ldexp(delta, -k), counter) if k else None
+            found = (_search(np.ldexp(arr, -k), pn, math.ldexp(delta, -k), counter)
+                     if k > 0 else None)
             if found is not None:
                 found = (min(lp_objective(arr, UnitLine(g.theta, math.ldexp(g.c, k)), pn)
                              for g in found[1]), *found[1:])
@@ -317,7 +319,6 @@ def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
         return None
     refined = [(value, canonicalize(UnitLine(theta, c)))
                for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist())]
-
     refined.sort(key=lambda t: t[0])
     best, lines = _ties(refined, _tie_bound(arr, refined[0][1], refined[0][0], pv, delta), 1e-7)
 
@@ -326,11 +327,10 @@ def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
 
 
 def _tie_bound(arr: np.ndarray, g: UnitLine, value: float, pv: float, delta: float) -> float:
-    """``_ROUNDING`` beta for the line g of value sum |r_j|^p.  beta = p delta
-    sqrt(2) sum |r_j|^(p-1) + eps log2(m) sum |r_j|^p, delta = eps max(max
-    |input coordinate|, max |centred coordinate|) (scaled with the retry's
-    copy): the value's change when every coordinate moves by delta, to first
-    order, plus its pairwise sum's rounding (Higham 2002, 4.2)."""
+    """``_ROUNDING`` beta for the line g of value sum |r_j|^p: beta = p delta
+    sqrt(2) sum |r_j|^(p-1) + eps log2(m) sum |r_j|^p is the value's first-order
+    change when every coordinate moves by delta, plus its pairwise sum's
+    rounding (Higham 2002, 4.2)."""
     s = float(np.abs(_power_terms(g.c - _offsets(arr, *g.normal()), pv)[0]).sum())
     return _ROUNDING * (pv * delta * math.sqrt(2.0) * s + _EPS * math.log2(len(arr)) * value)
 

@@ -328,6 +328,18 @@ class TestMinimize:
                     assert min(line_param_distance(g, h) for h in mapped) < 1e-6
 
 
+def _profile_calls(monkeypatch) -> list[int]:
+    """The lane count of each ``numeric._profile_slopes`` call from now on."""
+    profile_slopes, calls = numeric._profile_slopes, []
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return profile_slopes(*args)
+
+    monkeypatch.setattr(numeric, "_profile_slopes", counted)
+    return calls
+
+
 class TestRefinement:
     """Every scan minimum is refined, so whole symmetry orbits come back."""
 
@@ -392,13 +404,7 @@ class TestRefinement:
         # few rounds; a lane stops there instead of stepping ulps at a time
         # (46, 46, 29 and 24 profile evaluations when it stopped only on an
         # exact 0 or a step at float resolution)
-        profile_slopes, calls = numeric._profile_slopes, []
-
-        def counted(*args):
-            calls.append(args[1].size)
-            return profile_slopes(*args)
-
-        monkeypatch.setattr(numeric, "_profile_slopes", counted)
+        calls = _profile_calls(monkeypatch)
         got = minimize(points, p).optimal
         assert len(calls) <= 8
         monkeypatch.setattr(numeric, "_refine", refine_reference)
@@ -416,13 +422,7 @@ class TestRefinement:
         # overflows; with the overflowed curvature every theta step was
         # invalid and each lane bisected to its step stop (47 profile
         # evaluations on both inputs)
-        profile_slopes, calls = numeric._profile_slopes, []
-
-        def counted(*args):
-            calls.append(args[1].size)
-            return profile_slopes(*args)
-
-        monkeypatch.setattr(numeric, "_profile_slopes", counted)
+        calls = _profile_calls(monkeypatch)
         minimize(points, p)
         assert len(calls) <= bound
 
