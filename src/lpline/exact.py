@@ -105,10 +105,9 @@ def _check_points(points) -> np.ndarray:
 
 def _ties(candidates: list[tuple[float, UnitLine]], tol: float,
           atol: float = 1e-9) -> tuple[float, list[UnitLine]]:
-    """The best value and the distinct lines tying with it, value <= best +
-    ``tol``, sorted by (theta, c).  The closed forms pass ``_TIE_RTOL (1 +
-    |best|)``, and :func:`~lpline.numeric.minimize` its value's rounding
-    bound: a tie means "indistinguishable at the resolution of the values".
+    """The best value and the distinct lines within ``tol`` of it, sorted by
+    (theta, c).  The closed forms pass ``_TIE_RTOL (1 + |best|)``, and
+    :func:`~lpline.numeric.minimize` 8 beta: "indistinguishable at the input's resolution".
 
     Candidates are taken in the given order; a tying line within ``atol`` of
     one already kept is dropped.
@@ -148,7 +147,8 @@ def solve_p1(points) -> OptimalSet:
     for i, j in zip(first[near].tolist(), second[near].tolist()):
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
-    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(min(v for v, _ in candidates))))
+    best = min(v for v, _ in candidates)
+    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
 
     families: list[FamilyDescriptor] = []
     for g1, g2 in combinations(lines, 2):

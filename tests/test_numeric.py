@@ -328,60 +328,56 @@ class TestMinimize:
                     assert min(line_param_distance(g, h) for h in mapped) < 1e-6
 
 
-def _profile_calls(monkeypatch) -> list[int]:
-    """The lane count of each ``numeric._profile_slopes`` call from now on."""
-    profile_slopes, calls = numeric._profile_slopes, []
-
-    def counted(*args):
-        calls.append(args[1].size)
-        return profile_slopes(*args)
-
-    monkeypatch.setattr(numeric, "_profile_slopes", counted)
-    return calls
+def _dn_closure_gap(lines, n: int) -> float:
+    """The largest (theta, c) distance, across the pi-wrap as in
+    ``line_param_distance``, from an image of a line under D_n (rotations by
+    2 pi k / n and the mirror in the x-axis) to its nearest line."""
+    theta, c = np.array([g.theta for g in lines]), np.array([g.c for g in lines])
+    beta = 2.0 * math.pi * np.arange(n) / n
+    image_theta = np.concatenate([(theta[:, None] + beta).ravel(), (beta - theta[:, None]).ravel()])
+    image_c = np.tile(np.repeat(c, n), 2)
+    turns = np.floor(image_theta / math.pi)
+    image_theta, image_c = image_theta - turns * math.pi, np.where(turns % 2, -image_c, image_c)
+    dt = np.abs(image_theta[:, None] - theta)
+    gap = np.minimum(dt + np.abs(image_c[:, None] - c),
+                     (math.pi - dt) + np.abs(image_c[:, None] + c))
+    return float(gap.min(axis=1).max())
 
 
 class TestRefinement:
     """Every scan minimum is refined, so whole symmetry orbits come back."""
 
-    @pytest.mark.parametrize("n, p, count", [
-        (9, 1.5, 9),
-        (9, 3.0, 9),
-        (15, 1.5, 15),
-        (15, 2.5, 15),
-        (15, 3.0, 15),
-        (13, 3.9, 13),
-        (11, 3.99, 11),
+    # (n, p, line count, D_n closure tolerance)
+    _ORBITS = [
+        (9, 1.5, 9, 1e-9),
+        (9, 3.0, 9, 1e-9),
+        (15, 1.5, 15, 1e-9),
+        (15, 2.5, 15, 1e-9),
+        (15, 3.0, 15, 1e-9),
+        (13, 3.9, 13, 1e-9),
+        (11, 3.99, 11, 1e-9),
         # orbits whose scan spreads less than 1e-8 relative, but many times
-        # the rounding bound (an even n's orbit has n / 2 lines)
-        (15, 9.5, 15),
-        (15, 13.5, 15),
-        (17, 7.5, 17),
-        (27, 5.5, 27),
-        (61, 5.5, 61),
-        (120, 5.5, 60),
+        # the rounding bound (an even n's orbit has n / 2 lines).  The 61-gon
+        # at 5.5 spreads 4.4e-11 relative and closes to 4.3e-9
+        (15, 9.5, 15, 1e-9),
+        (15, 13.5, 15, 1e-9),
+        (17, 7.5, 17, 1e-9),
+        (27, 5.5, 27, 1e-9),
+        (61, 5.5, 61, 2e-8),
+        (120, 5.5, 60, 1e-9),
         # symmetry-broken optima: an orbit of 2n lines
-        (5, 1.2675, 10),
-        (7, 1.24, 14),
-    ])
-    def test_regular_polygon_returns_its_orbit(self, n, p, count):
+        (5, 1.2675, 10, 1e-9),
+        (7, 1.24, 14, 1e-9),
+    ]
+
+    @pytest.mark.parametrize("n, p, count, tol", _ORBITS,
+                             ids=[f"{n}-{p}-{count}" for n, p, count, _ in _ORBITS])
+    def test_regular_polygon_returns_its_orbit(self, n, p, count, tol):
         report = minimize(regular_polygon(n), p)
         lines = report.optimal.lines
         assert len(lines) == count
         assert not report.optimal.degenerate
-        # closed under D_n: rotations by 2 pi k / n and the mirror in the
-        # x-axis, within 1e-9 plus twice the theta resolution a lane stops
-        # at, its slope's rounding bound over the profile curvature (1e-8
-        # for the 61-gon at 5.5, whose scan spreads 4.4e-11 relative)
-        with np.errstate(all="ignore"):
-            _, bound, curvature, _ = numeric._profile_slopes(
-                _as_xy(regular_polygon(n)), np.array([g.theta for g in lines]),
-                np.array([g.c for g in lines]), p, 0.0, numeric._Counter())
-        tol = 1e-9 + 2.0 * float(np.max(bound / curvature))
-        for g in lines:
-            for k in range(n):
-                beta = 2.0 * math.pi * k / n
-                for image in (UnitLine(g.theta + beta, g.c), UnitLine(beta - g.theta, g.c)):
-                    assert min(line_param_distance(image, h) for h in lines) < tol
+        assert _dn_closure_gap(lines, n) < tol
 
     @pytest.mark.parametrize("points, p, bound", [
         (TRI, 1.5, 10_000), (regular_polygon(9), 3.0, 10_000), (TRI, "4/3", 10_000),
@@ -394,37 +390,36 @@ class TestRefinement:
         # finds in one or two rounds
         assert minimize(points, p).evaluations <= bound
 
-    @pytest.mark.parametrize("points, p", [
-        (regular_polygon(12), 1.49), (regular_polygon(6), 1.57),
-        (TRI, 4.0 / 3.0 - 1e-6), (TRI, 2.0 + 1e-6),
-    ], ids=["12-gon-p1.49", "6-gon-p1.57", "triangle-p4/3-1e-6", "triangle-p2+1e-6"])
-    def test_theta_lanes_stop_at_the_slope_rounding_bound(self, points, p, monkeypatch):
+    @pytest.mark.parametrize("points, p, bound", [
+        (regular_polygon(12), 1.49, 8), (regular_polygon(6), 1.57, 8),
+        (TRI, 4.0 / 3.0 - 1e-6, 8), (TRI, 2.0 + 1e-6, 8),
+        (5.0 * _as_xy(TRI), 672.69, 4), (band_with_outlier(), 900.0, 12),
+    ], ids=["12-gon-p1.49", "6-gon-p1.57", "triangle-p4/3-1e-6", "triangle-p2+1e-6",
+            "triangle-x5-p672.69", "band-outlier-p900"])
+    def test_theta_lanes_stop_at_the_slope_rounding_bound(self, points, p, bound, monkeypatch):
         # near the polygon pencils and the triangle's transitions the profile
         # is nearly flat, and its computed slope is rounding noise within a
         # few rounds; a lane stops there instead of stepping ulps at a time
         # (46, 46, 29 and 24 profile evaluations when it stopped only on an
-        # exact 0 or a step at float resolution)
-        calls = _profile_calls(monkeypatch)
+        # exact 0 or a step at float resolution).  At large p the curvature
+        # s1 (s1 / s0) stays finite where s1 * s1 overflows; with the
+        # overflowed curvature every theta step was invalid and each lane
+        # bisected to its step stop (47 evaluations on the last two inputs)
+        profile_slopes, calls = numeric._profile_slopes, []
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return profile_slopes(*args)
+
+        monkeypatch.setattr(numeric, "_profile_slopes", counted)
         got = minimize(points, p).optimal
-        assert len(calls) <= 8
+        assert len(calls) <= bound
         monkeypatch.setattr(numeric, "_refine", refine_reference)
         want = minimize(points, p).optimal
         assert len(got.lines) == len(want.lines)
         for g in got.lines:
             assert any(lines_close(g, h, 1e-9) for h in want.lines)
         assert abs(got.min_value - want.min_value) <= 1e-12 * want.min_value
-
-    @pytest.mark.parametrize("points, p, bound", [
-        (5.0 * _as_xy(TRI), 672.69, 4), (band_with_outlier(), 900.0, 12),
-    ], ids=["triangle-x5-p672.69", "band-outlier-p900"])
-    def test_large_p_curvature_keeps_newton_steps(self, points, p, bound, monkeypatch):
-        # the profile curvature's s1 (s1 / s0) stays finite where s1 * s1
-        # overflows; with the overflowed curvature every theta step was
-        # invalid and each lane bisected to its step stop (47 profile
-        # evaluations on both inputs)
-        calls = _profile_calls(monkeypatch)
-        minimize(points, p)
-        assert len(calls) <= bound
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
