@@ -16,13 +16,7 @@ from pathlib import Path
 
 from ._parallel import parallel_map
 from .geometry import PNorm, Point2
-from .triangle import (
-    TrianglePhase,
-    classify_phase,
-    locate_transitions,
-    side_parallel_offset,
-    triangle_min_value,
-)
+from .triangle import TrianglePhase, _phase_value_offset, locate_transitions
 
 __all__ = [
     "fmt",
@@ -89,11 +83,9 @@ class SweepRow:
 
 
 def _row_for(p: PNorm) -> SweepRow:
-    phase = classify_phase(p)
-    value = triangle_min_value(p)
+    phase, value, x0 = _phase_value_offset(p)
     if p.is_inf:
         return SweepRow(math.inf, phase.value, value, None, None, 3)
-    x0 = None if p.value <= 1.0 else side_parallel_offset(p)
     if phase in (TrianglePhase.FAMILY_P2, TrianglePhase.FAMILY_P43):
         return SweepRow(p.value, phase.value, value, x0, phase.value, "family")
     return SweepRow(p.value, phase.value, value, x0, None, 3)

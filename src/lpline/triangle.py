@@ -210,6 +210,16 @@ def _log1p_2pow(b: float) -> float:
     return math.log1p(math.exp(z))
 
 
+def _side_parallel(pv: float) -> tuple[float, float]:
+    """Offset and value of the optimal side-parallel line at a finite p > 1,
+    from one b = 1/(p - 1) and one log(1 + 2^b)."""
+    b = 1.0 / (pv - 1.0)
+    log_sum = _log1p_2pow(b)
+    x0 = SQRT3 / 2.0 * math.exp(-log_sum)
+    log_value = pv * 0.5 * math.log(3.0) - (pv - 1.0) * (math.log(2.0) + log_sum)
+    return x0, math.exp(log_value)
+
+
 def side_parallel_offset(p) -> float:
     """Distance x0 = sqrt(3) / (2 (2^b + 1)) of the optimal side-parallel line.
 
@@ -219,8 +229,7 @@ def side_parallel_offset(p) -> float:
     pv = _check_p_finite(p)
     if pv <= 1.0:
         raise ValueError("p must be > 1 (the limit toward 1 is 0)")
-    b = 1.0 / (pv - 1.0)
-    return SQRT3 / 2.0 * math.exp(-_log1p_2pow(b))
+    return _side_parallel(pv)[0]
 
 
 def side_parallel_value(p) -> float:
@@ -233,9 +242,7 @@ def side_parallel_value(p) -> float:
     pv = _check_p_finite(p)
     if pv <= 1.0:
         raise ValueError("p must be > 1")
-    b = 1.0 / (pv - 1.0)
-    log_value = pv * 0.5 * math.log(3.0) - (pv - 1.0) * (math.log(2.0) + _log1p_2pow(b))
-    return math.exp(log_value)
+    return _side_parallel(pv)[1]
 
 
 def classify_phase(p) -> TrianglePhase:
@@ -267,17 +274,26 @@ def classify_phase(p) -> TrianglePhase:
     return TrianglePhase.PARALLEL
 
 
+def _phase_value_offset(p) -> tuple[TrianglePhase, float, float | None]:
+    """``classify_phase``, ``triangle_min_value`` and ``side_parallel_offset``
+    at p (the offset None at p = 1 and p = inf), from one b and one
+    log(1 + 2^b)."""
+    pn = PNorm.coerce(p)
+    phase = classify_phase(pn)
+    if pn.is_inf:
+        return phase, SQRT3 / 4.0, None
+    if pn.value == 1.0:
+        return phase, SQRT3 / 2.0, None
+    x0, side_value = _side_parallel(pn.value)
+    if phase is TrianglePhase.PARALLEL:
+        return phase, side_value, x0
+    # the bisectors and both families share the bisector value
+    return phase, 2.0 ** (1.0 - pn.value), x0
+
+
 def triangle_min_value(p) -> float:
     """Global minimum of the objective over all lines, for any p in [1, inf]."""
-    pn = PNorm.coerce(p)
-    if pn.is_inf:
-        return SQRT3 / 4.0
-    if pn.value == 1.0:
-        return SQRT3 / 2.0
-    if classify_phase(pn) is TrianglePhase.PARALLEL:
-        return side_parallel_value(pn)
-    # the bisectors and both families share the bisector value
-    return 2.0 ** (1.0 - pn.value)
+    return _phase_value_offset(p)[1]
 
 
 def _indicator_at_p(p: float) -> float:

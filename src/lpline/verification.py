@@ -13,7 +13,12 @@ set degenerates to a one-parameter family.
 
 All checks here are numeric:  partial sums carry an explicit tail bound and a
 check reports ``inconclusive`` rather than ``pass`` whenever the bound cannot
-certify the claim.  :func:`triangle_cross_checks` complements the series-based
+certify the claim.  :func:`run_verification_suite` does the work that does
+not depend on b once per call: it splits the t grid at the series switch,
+forms t^2, the tail bound's t^128 and 1 - t^2, and runs the coefficient
+recurrences for the whole b grid as arrays (bit for bit the scalar rows).
+Each b then costs the two powers of ``stationarity_gap`` and one Horner
+pass over the t grid.  :func:`triangle_cross_checks` complements the series-based
 suite by tying the analytic triangle solution to the generic solvers; the
 verify subcommand runs both.
 """
@@ -62,12 +67,52 @@ _REMAINDER_TERMS = 64  # n_max of the remainder partial sums the suite certifies
 _CROSS_CHECK_SEED = 20240817
 
 
-def binomial_series_coefficient(b: float, k: int) -> float:
-    """Generalized binomial coefficient C(b, k) by the rising-product recurrence."""
-    value = 1.0
+def binomial_series_coefficient(b, k: int):
+    """Generalized binomial coefficient C(b, k) by the rising-product recurrence.
+
+    ``b`` may be an array: each entry is the scalar result bit for bit, since
+    the recurrence is elementwise IEEE arithmetic.
+    """
+    value = np.ones(np.shape(b)) if np.ndim(b) else 1.0
     for i in range(1, k + 1):
         value *= (b - i + 1.0) / i
     return value
+
+
+def _series_coefficients(b):
+    """The even-power coefficients of h, n = 0.._SERIES_TERMS - 1, for a
+    scalar b or (stacked along axis 1) an array of b."""
+    return np.array([
+        2.0 * (binomial_series_coefficient(b, 2 * n)
+               - 3.0 * binomial_series_coefficient(b, 2 * n + 1))
+        for n in range(_SERIES_TERMS)
+    ])
+
+
+def _split(arr: np.ndarray):
+    """The t grid split at _SERIES_SWITCH: (mask of the small nodes, the other
+    nodes, the small nodes squared)."""
+    small = arr < _SERIES_SWITCH
+    return small, arr[~small], arr[small] ** 2
+
+
+def _in_open_interval(arr: np.ndarray) -> bool:
+    return not (np.any(arr <= 0.0) or np.any(arr > 1.0))
+
+
+def _gap_over_t(b: float, arr: np.ndarray, split, series) -> np.ndarray:
+    """h on a t grid already split by :func:`_split`, from h's series
+    coefficients at b."""
+    small, t_large, t2_small = split
+    out = np.empty_like(arr)
+    if t_large.size:
+        out[~small] = stationarity_gap(t_large, b) / t_large
+    if t2_small.size:
+        acc = np.zeros_like(t2_small)
+        for cn in reversed(series):
+            acc = acc * t2_small + cn
+        out[small] = 2.0 * 2.0 ** b + acc
+    return out
 
 
 def stationarity_gap_over_t(t, b: float):
@@ -78,57 +123,47 @@ def stationarity_gap_over_t(t, b: float):
     instead.  h(1) = 0 exactly, and h(0+) = 2 * family_indicator(b).
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+    if not _in_open_interval(arr):
         raise ValueError("t must lie in (0, 1]")
-    small = arr < _SERIES_SWITCH
-    out = np.empty_like(arr)
-    if np.any(~small):
-        tt = arr[~small]
-        out[~small] = stationarity_gap(tt, b) / tt
-    if np.any(small):
-        coeffs = [
-            2.0 * (binomial_series_coefficient(b, 2 * n)
-                   - 3.0 * binomial_series_coefficient(b, 2 * n + 1))
-            for n in range(_SERIES_TERMS)
-        ]
-        t2 = arr[small] ** 2
-        acc = np.zeros_like(t2)
-        for cn in reversed(coeffs):
-            acc = acc * t2 + cn
-        out[small] = 2.0 * 2.0 ** b + acc
+    out = _gap_over_t(b, arr, _split(arr), _series_coefficients(b))
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
 
 
-def remainder_coefficients(b: float, n_max: int = 64) -> np.ndarray:
+def remainder_coefficients(b, n_max: int = 64) -> np.ndarray:
     """Coefficients a_n, n = 2..n_max, of the derivative remainder series.
 
     ``a_n = 3 n * (b-2) * prod_{j=4}^{2n-1} (b-j) / (2n+1)! * (b - (8n+1)/3)``
     evaluated through the running ratio of consecutive terms so that neither
-    the product nor the factorial is ever formed explicitly.
+    the product nor the factorial is ever formed explicitly.  For an array of
+    b the result has one row per b, each the scalar result bit for bit.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    coeffs = np.empty(n_max - 1)
+    coeffs = np.empty(np.shape(b) + (n_max - 1,))
     q = (b - 2.0) / 120.0  # P_2 / 5!
     for n in range(2, n_max + 1):
-        coeffs[n - 2] = n * q * (3.0 * b - 8.0 * n - 1.0)
+        coeffs[..., n - 2] = n * q * (3.0 * b - 8.0 * n - 1.0)
         q *= (b - 2.0 * n) * (b - 2.0 * n - 1.0) / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
     return coeffs
 
 
-def _partial_sum(coeffs, t):
-    """``sum_n a_n t^(2n-2)`` for coefficients a_2, a_3, ...: Horner in t^2,
-    accumulating in place."""
-    arr = np.asarray(t, dtype=float)
-    t2 = arr * arr
-    acc = np.zeros_like(arr)
-    for cn in reversed(coeffs):
+def _horner_t2(coeffs, t2):
+    """``sum_n a_n t^(2n-2)`` for coefficients a_2, a_3, ..., from t^2: Horner
+    in t^2, accumulating in place.
+
+    A terminating series (integer b) stops at its last nonzero coefficient:
+    each trailing zero would leave the accumulator at +0 (0 * t^2 + (+-0)),
+    so skipping them changes no bit.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    stop = nonzero[-1] + 1 if nonzero.size else 0
+    acc = np.zeros_like(t2)
+    for cn in reversed(coeffs[:stop]):
         acc *= t2
         acc += cn
-    out = acc * t2  # lowest power is t^2 (n = 2 term)
-    return float(out) if arr.ndim == 0 else out
+    return acc * t2  # lowest power is t^2 (n = 2 term)
 
 
 def remainder_tail_bound(coeffs: np.ndarray, t):
@@ -136,22 +171,28 @@ def remainder_tail_bound(coeffs: np.ndarray, t):
 
     Uses the observed decay of the trailing coefficients: once |a_(n+1)/a_n|
     stays below 1 the magnitudes are monotone, giving
-    ``|a_N| * t^(2N) / (1 - t^2)``.  Returns None when the observed growth
-    cannot justify the bound (the caller then reports inconclusive).
+    ``|a_N| * t^(2N) / (1 - t^2)`` (inf at t = 1).  Returns None when the
+    observed growth cannot justify the bound (the caller then reports
+    inconclusive).
     """
     arr = np.asarray(t, dtype=float)
-    n_max = len(coeffs) + 1
+    return _tail_bound(coeffs, arr ** (2 * (len(coeffs) + 1)), 1.0 - arr * arr)
+
+
+def _tail_bound(coeffs: np.ndarray, power, gap):
+    """:func:`remainder_tail_bound` from t^(2N) and 1 - t^2."""
     a_last = abs(float(coeffs[-1]))
     if a_last == 0.0:
         # the recurrence keeps a zero factor forever: the series terminates
-        return np.zeros_like(arr)
+        return np.zeros_like(power)
     half = coeffs[len(coeffs) // 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(half[1:] / half[:-1])
     ratios = ratios[np.isfinite(ratios)]
     if len(ratios) == 0 or float(np.max(ratios)) >= 1.0:
         return None
-    return a_last * arr ** (2 * n_max) / (1.0 - arr * arr)
+    with np.errstate(divide="ignore"):
+        return a_last * power / gap
 
 
 @dataclass
@@ -206,35 +247,66 @@ def default_t_grid(count: int = 4096) -> np.ndarray:
     return np.sort((1.0 + nodes) / 2.0)
 
 
-def _check_identically_zero(b: float, t_grid: np.ndarray) -> CheckResult:
-    values = stationarity_gap(t_grid, b)
+class _Grid:
+    """What every b of one suite run shares, computed once: the t grid, split
+    at _SERIES_SWITCH and with the tail bound's powers of t, and the
+    coefficient tables of the whole b grid, one row per b."""
+
+    def __init__(self, bs: list[float], ts: np.ndarray):
+        n_terms = _REMAINDER_TERMS
+        b_arr = np.array(bs, dtype=float)
+        ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
+        # like the scalar recurrences, the tables overflow to inf and nan
+        # silently at huge b (whose checks then fail or raise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.series = _series_coefficients(b_arr)  # one column per b
+            self.remainder = remainder_coefficients(b_arr, 2 * n_terms)
+            # the geometric bound degenerates as t -> 1; there the dropped
+            # terms obey |a_n| <= 1/(2n(n-1)) (checked on an extended range,
+            # decaying below it), whose full tail telescopes to 1/(2N)
+            normalized = np.abs(self.remainder[:, n_terms - 1:]) * 2.0 * ns * (ns - 1.0)
+            self.harmonic_ok = (np.all(normalized <= 1.0, axis=1)
+                                & np.all(np.diff(normalized, axis=1) <= 1e-12, axis=1))
+        self.rows = {b: k for k, b in enumerate(bs)}  # b -> its row of the tables
+        self.t = ts
+        self.t_in_domain = _in_open_interval(ts)  # every t in (0, 1], where h is defined
+        self.split = _split(ts)
+        self.t2 = ts * ts
+        self.tail_power = ts ** (2 * n_terms)
+        self.tail_gap = 1.0 - ts * ts
+        self.harmonic = np.full_like(ts, 1.0 / (2.0 * n_terms))
+
+
+def _check_identically_zero(b: float, grid: _Grid) -> CheckResult:
+    values = stationarity_gap(grid.t, b)
     scale = 4.0 * 2.0 ** b
     worst = int(np.argmax(np.abs(values)))
     margin = float(np.abs(values[worst])) / scale
     status = "pass" if margin <= 1e-12 else "fail"
-    return CheckResult(f"identically-zero[b={b:g}]", status, margin, float(t_grid[worst]),
+    return CheckResult(f"identically-zero[b={b:g}]", status, margin, float(grid.t[worst]),
                        note="max |gap| / scale")
 
 
-def _check_sign_constant(b: float, t_grid: np.ndarray) -> CheckResult:
-    h = stationarity_gap_over_t(t_grid, b)
+def _check_sign_constant(b: float, grid: _Grid) -> CheckResult:
+    if not grid.t_in_domain:
+        raise ValueError("t must lie in (0, 1]")
+    h = _gap_over_t(b, grid.t, grid.split, grid.series[:, grid.rows[b]])
     target = family_indicator(b)
     signs_ok = bool(np.all(np.sign(h) == math.copysign(1.0, target))) and target != 0.0
     worst = int(np.argmin(np.abs(h)))
     margin = float(np.abs(h[worst]))
     status = "pass" if signs_ok and margin > 0.0 else "fail"
-    return CheckResult(f"sign-constant[b={b:g}]", status, margin, float(t_grid[worst]),
+    return CheckResult(f"sign-constant[b={b:g}]", status, margin, float(grid.t[worst]),
                        note="min |h| with sign matching the t->0 limit")
 
 
-def _check_remainder_bound(b: float, t_grid: np.ndarray) -> CheckResult:
+def _check_remainder_bound(b: float, grid: _Grid) -> CheckResult:
     name = f"remainder-lower-bound[b={b:g}]"
-    n_terms = _REMAINDER_TERMS
-    # the recurrence does not depend on n_max: the first n_terms - 1
+    k = grid.rows[b]
+    # the recurrence does not depend on n_max: the first _REMAINDER_TERMS - 1
     # coefficients of the extended range are the truncated series
-    all_coeffs = remainder_coefficients(b, 2 * n_terms)
-    coeffs = all_coeffs[:n_terms - 1]
-    partial = _partial_sum(coeffs, t_grid)
+    coeffs = grid.remainder[k, :_REMAINDER_TERMS - 1]
+    partial = _horner_t2(coeffs, grid.t2)
     if b <= 2.0:
         # every coefficient is non-negative here (odd count of non-positive
         # factors times a negative trailing factor), so r >= 0 outright
@@ -244,16 +316,9 @@ def _check_remainder_bound(b: float, t_grid: np.ndarray) -> CheckResult:
         margin = 0.5 + float(np.min(partial))
         return CheckResult(name, "pass", margin, None, note="non-negative series")
 
-    tail = remainder_tail_bound(coeffs, t_grid)
-    # the geometric bound degenerates as t -> 1; there the dropped terms obey
-    # |a_n| <= 1/(2n(n-1)) (checked on an extended range, decaying below it),
-    # whose full tail telescopes to 1/(2N)
-    extended = all_coeffs[n_terms - 1:]
-    ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
-    normalized = np.abs(extended) * 2.0 * ns * (ns - 1.0)
-    if np.all(normalized <= 1.0) and np.all(np.diff(normalized) <= 1e-12):
-        harmonic = np.full_like(t_grid, 1.0 / (2.0 * n_terms))
-        tail = harmonic if tail is None else np.minimum(tail, harmonic)
+    tail = _tail_bound(coeffs, grid.tail_power, grid.tail_gap)
+    if grid.harmonic_ok[k]:
+        tail = grid.harmonic if tail is None else np.minimum(tail, grid.harmonic)
     if tail is None:
         return CheckResult(name, "inconclusive", math.nan,
                            note="observed coefficient growth cannot bound the tail")
@@ -261,7 +326,7 @@ def _check_remainder_bound(b: float, t_grid: np.ndarray) -> CheckResult:
     worst = int(np.argmin(lower))
     margin = float(lower[worst])
     status = "pass" if margin > 0.0 else "fail"
-    return CheckResult(name, status, margin, float(t_grid[worst]),
+    return CheckResult(name, status, margin, float(grid.t[worst]),
                        note="min of partial - tail + 1/2")
 
 
@@ -275,25 +340,28 @@ def run_verification_suite(b_grid=None, t_grid=None) -> SuiteReport:
     For b in {1, 3} the gap must vanish identically (scaled 1e-12); for other
     b the scaled gap h must keep a fixed sign matching ``family_indicator``;
     and for b > 1 the remainder partial sums must certify r > -1/2 including
-    their tail bound.
+    their tail bound.  The work that does not depend on b (the t grid's split
+    and powers, the coefficient recurrences over the whole b grid) runs once.
     """
     bs = default_b_grid() if b_grid is None else np.asarray(b_grid, dtype=float)
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if len(bs) == 0 or len(ts) == 0:
         raise ValueError("grids must be non-empty")
+    b_list = [float(b) for b in bs]
+    grid = _Grid(b_list, ts)
 
     def one_b(b: float) -> list[CheckResult]:
         out = []
         if _is_family_b(b):
-            out.append(_check_identically_zero(b, ts))
+            out.append(_check_identically_zero(b, grid))
         else:
-            out.append(_check_sign_constant(b, ts))
+            out.append(_check_sign_constant(b, grid))
         if b > 1.0:
-            out.append(_check_remainder_bound(b, ts))
+            out.append(_check_remainder_bound(b, grid))
         return out
 
     checks: list[CheckResult] = []
-    for group in parallel_map(one_b, [float(b) for b in bs]):
+    for group in parallel_map(one_b, b_list):
         checks.extend(group)
     return SuiteReport(checks)
 

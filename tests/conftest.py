@@ -4,11 +4,14 @@ the solver's early stops must reproduce exactly, the golden-section theta
 scan that the solver's Newton scan replaced, the per-start Newton
 refinement that its lane-parallel refinement replaced, the through-point
 and pair snaps that ``minimize`` no longer runs, the pair loop of
-``solve_pinf``, and the readers and distances that only the tests use."""
+``solve_pinf``, the per-b verification battery and the per-row sweep that
+the grid-sharing battery and sweep must reproduce exactly, and the readers
+and distances that only the tests use."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -31,8 +34,12 @@ from lpline.exact import (
 from lpline.fileio import SWEEP_HEADER, SweepRow
 from lpline.geometry import _as_xy, _eps_zero, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
-from lpline.triangle import bisect_sign, family_member, reduced_to_line
-from lpline.verification import _partial_sum, remainder_coefficients
+from lpline.triangle import (
+    SQRT3, TrianglePhase, bisect_sign, classify_phase, family_indicator, family_member,
+    reduced_to_line, side_parallel_offset, side_parallel_value, stationarity_gap)
+from lpline.verification import (
+    CheckResult, SuiteReport, _horner_t2, binomial_series_coefficient, default_b_grid,
+    default_t_grid, remainder_coefficients, remainder_tail_bound)
 
 
 def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
@@ -83,7 +90,9 @@ def remainder_partial_sum(t, b: float, n_max: int):
     """``sum_{n=2}^{n_max} a_n t^(2n-2)`` for a scalar or an array of t."""
     if np.any(np.abs(t) >= 1.0):
         raise ValueError("series requires |t| < 1")
-    return _partial_sum(remainder_coefficients(b, n_max), t)
+    arr = np.asarray(t, dtype=float)
+    out = _horner_t2(remainder_coefficients(b, n_max), arr * arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def random_points(rng: np.random.Generator, count: int | None = None,
@@ -538,6 +547,137 @@ def remainder_partial_sum_reference(coefficients, t):
         acc = acc * t2 + cn
     out = acc * t2
     return float(out) if arr.ndim == 0 else out
+
+
+def _gap_over_t_reference(t_grid: np.ndarray, b: float) -> np.ndarray:
+    """``stationarity_gap_over_t`` on an array, with the series coefficients
+    of one b from scalar recurrences."""
+    arr = np.asarray(t_grid, dtype=float)
+    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        raise ValueError("t must lie in (0, 1]")
+    small = arr < 1e-4
+    out = np.empty_like(arr)
+    if np.any(~small):
+        tt = arr[~small]
+        out[~small] = stationarity_gap(tt, b) / tt
+    if np.any(small):
+        coeffs = [
+            2.0 * (binomial_series_coefficient(b, 2 * n)
+                   - 3.0 * binomial_series_coefficient(b, 2 * n + 1))
+            for n in range(9)
+        ]
+        t2 = arr[small] ** 2
+        acc = np.zeros_like(t2)
+        for cn in reversed(coeffs):
+            acc = acc * t2 + cn
+        out[small] = 2.0 * 2.0 ** b + acc
+    return out
+
+
+def _check_identically_zero_reference(b: float, t_grid: np.ndarray) -> CheckResult:
+    values = stationarity_gap(t_grid, b)
+    scale = 4.0 * 2.0 ** b
+    worst = int(np.argmax(np.abs(values)))
+    margin = float(np.abs(values[worst])) / scale
+    status = "pass" if margin <= 1e-12 else "fail"
+    return CheckResult(f"identically-zero[b={b:g}]", status, margin, float(t_grid[worst]),
+                       note="max |gap| / scale")
+
+
+def _check_sign_constant_reference(b: float, t_grid: np.ndarray) -> CheckResult:
+    h = _gap_over_t_reference(t_grid, b)
+    target = family_indicator(b)
+    signs_ok = bool(np.all(np.sign(h) == math.copysign(1.0, target))) and target != 0.0
+    worst = int(np.argmin(np.abs(h)))
+    margin = float(np.abs(h[worst]))
+    status = "pass" if signs_ok and margin > 0.0 else "fail"
+    return CheckResult(f"sign-constant[b={b:g}]", status, margin, float(t_grid[worst]),
+                       note="min |h| with sign matching the t->0 limit")
+
+
+def _check_remainder_bound_reference(b: float, t_grid: np.ndarray) -> CheckResult:
+    name = f"remainder-lower-bound[b={b:g}]"
+    n_terms = 64
+    all_coeffs = remainder_coefficients(b, 2 * n_terms)
+    coeffs = all_coeffs[:n_terms - 1]
+    partial = remainder_partial_sum_reference(coeffs, t_grid)
+    if b <= 2.0:
+        if float(np.min(coeffs)) < -1e-300:
+            return CheckResult(name, "fail", float(np.min(coeffs)),
+                               note="expected non-negative coefficients")
+        margin = 0.5 + float(np.min(partial))
+        return CheckResult(name, "pass", margin, None, note="non-negative series")
+
+    tail = remainder_tail_bound(coeffs, t_grid)
+    extended = all_coeffs[n_terms - 1:]
+    ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
+    normalized = np.abs(extended) * 2.0 * ns * (ns - 1.0)
+    if np.all(normalized <= 1.0) and np.all(np.diff(normalized) <= 1e-12):
+        harmonic = np.full_like(t_grid, 1.0 / (2.0 * n_terms))
+        tail = harmonic if tail is None else np.minimum(tail, harmonic)
+    if tail is None:
+        return CheckResult(name, "inconclusive", math.nan,
+                           note="observed coefficient growth cannot bound the tail")
+    lower = partial - tail + 0.5
+    worst = int(np.argmin(lower))
+    margin = float(lower[worst])
+    status = "pass" if margin > 0.0 else "fail"
+    return CheckResult(name, status, margin, float(t_grid[worst]),
+                       note="min of partial - tail + 1/2")
+
+
+def run_verification_suite_reference(b_grid=None, t_grid=None) -> SuiteReport:
+    """``run_verification_suite`` with every check computed afresh for
+    each b: the grid split, the powers of t and the coefficient recurrences
+    once per b."""
+    bs = default_b_grid() if b_grid is None else np.asarray(b_grid, dtype=float)
+    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    if len(bs) == 0 or len(ts) == 0:
+        raise ValueError("grids must be non-empty")
+    checks = []
+    for b in (float(b) for b in bs):
+        if b == 1.0 or b == 3.0:
+            checks.append(_check_identically_zero_reference(b, ts))
+        else:
+            checks.append(_check_sign_constant_reference(b, ts))
+        if b > 1.0:
+            checks.append(_check_remainder_bound_reference(b, ts))
+    return SuiteReport(checks)
+
+
+def _sweep_row_reference(p: PNorm) -> SweepRow:
+    phase = classify_phase(p)
+    if p.is_inf:
+        return SweepRow(math.inf, phase.value, SQRT3 / 4.0, None, None, 3)
+    if p.value == 1.0:
+        value = SQRT3 / 2.0
+    elif phase is TrianglePhase.PARALLEL:
+        value = side_parallel_value(p)
+    else:
+        value = 2.0 ** (1.0 - p.value)
+    x0 = None if p.value <= 1.0 else side_parallel_offset(p)
+    if phase in (TrianglePhase.FAMILY_P2, TrianglePhase.FAMILY_P43):
+        return SweepRow(p.value, phase.value, value, x0, phase.value, "family")
+    return SweepRow(p.value, phase.value, value, x0, None, 3)
+
+
+def triangle_sweep_reference(p_min: float, p_max: float, steps: int,
+                             include_inf: bool = False) -> list[SweepRow]:
+    """``fileio.triangle_sweep`` with the phase, the minimum and the offset of
+    each row computed apart, each from its own coercion and log(1 + 2^b)."""
+    if steps == 1:
+        ps = [PNorm.coerce(p_min)]
+    else:
+        ps = [PNorm.coerce(p_min + (p_max - p_min) * k / (steps - 1))
+              for k in range(steps)]
+    for q in (Fraction(4, 3), Fraction(2)):
+        if p_min < q < p_max and not any(pn.value == float(q) for pn in ps):
+            ps.append(PNorm.coerce(q))
+    ps.sort(key=lambda pn: pn.value)
+    rows = [_sweep_row_reference(p) for p in ps]
+    if include_inf:
+        rows.append(_sweep_row_reference(PNorm.infinity()))
+    return rows
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from lpline.fileio import (
 )
 from lpline.triangle import canonical_triangle, triangle_min_value
 
-from conftest import read_sweep_csv
+from conftest import read_sweep_csv, triangle_sweep_reference
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,6 +82,13 @@ class TestSweepPipeline:
         write_sweep_csv(path, rows, transitions=[4.0 / 3.0, 2.0])
         back = read_sweep_csv(path)
         assert back == rows
+
+    @pytest.mark.parametrize("p_min,p_max,steps", [
+        (1.0, 3.0, 200), (1.2, 2.5, 57), (1.01, 1.5, 1), (1.3, 2.2, 2), (1.5, 40.0, 91)])
+    def test_rows_match_the_per_row_reference(self, p_min, p_max, steps):
+        rows = triangle_sweep(p_min, p_max, steps, include_inf=True)
+        expected = triangle_sweep_reference(p_min, p_max, steps, include_inf=True)
+        assert rows == expected
 
     def test_fmt_round_trip(self):
         for v in (1 / 3, math.pi, 1e-300, 123456.789, SQRT3 / 18):
@@ -267,13 +274,14 @@ class TestSerialMap:
     def test_suite_checks_follow_b_order(self):
         bs = [2.5, 1.0, 7.3, 0.5, 3.0, 1.1]
         ts = verification.default_t_grid(512)
+        grid = verification._Grid(bs, ts)
         expected = []
         for b in bs:
             if b in (1.0, 3.0):
-                expected.append(verification._check_identically_zero(b, ts))
+                expected.append(verification._check_identically_zero(b, grid))
             else:
-                expected.append(verification._check_sign_constant(b, ts))
+                expected.append(verification._check_sign_constant(b, grid))
             if b > 1.0:
-                expected.append(verification._check_remainder_bound(b, ts))
+                expected.append(verification._check_remainder_bound(b, grid))
         report = verification.run_verification_suite(b_grid=bs, t_grid=ts)
         assert [c.as_dict() for c in report.checks] == [c.as_dict() for c in expected]

@@ -1,13 +1,18 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpline import verification
 from lpline.triangle import family_indicator, regime_indicator, stationarity_gap
 from lpline.verification import (
     CheckResult,
+    _horner_t2,
+    binomial_series_coefficient,
     default_b_grid,
     default_t_grid,
     remainder_coefficients,
@@ -16,7 +21,8 @@ from lpline.verification import (
     stationarity_gap_over_t,
 )
 
-from conftest import remainder_partial_sum, remainder_partial_sum_reference
+from conftest import (
+    remainder_partial_sum, remainder_partial_sum_reference, run_verification_suite_reference)
 
 
 def exact_coefficient(b: Fraction, n: int) -> Fraction:
@@ -165,6 +171,39 @@ class TestRemainderSeries:
             assert np.array_equal(remainder_coefficients(float(b), 128)[:63],
                                   remainder_coefficients(float(b), 64))
 
+    @pytest.mark.parametrize("b", [2.0, 4.0, 5.0, 8.0, 13.0, 20.0, 40.0])
+    def test_terminating_series_stops_without_changing_a_bit(self, b):
+        coeffs = remainder_coefficients(b, 64)
+        assert coeffs[-1] == 0.0
+        ts = np.concatenate([[0.0], default_t_grid(), [1.0]])
+        got = _horner_t2(coeffs, ts * ts)
+        assert got.tobytes() == remainder_partial_sum_reference(coeffs, ts).tobytes()
+
+    def test_array_b_gives_the_scalar_rows(self):
+        bs = np.concatenate([default_b_grid(), [0.37, 2.0, 40.0]])
+        table = remainder_coefficients(bs, 128)
+        assert table.shape == (len(bs), 127)
+        for b, row in zip(bs, table):
+            assert row.tobytes() == remainder_coefficients(float(b), 128).tobytes()
+        for k in range(18):
+            column = binomial_series_coefficient(bs, k)
+            assert column.shape == bs.shape
+            scalars = [binomial_series_coefficient(float(b), k) for b in bs]
+            assert column.tobytes() == np.array(scalars).tobytes()
+
+    def test_scalar_b_keeps_its_types(self):
+        assert type(binomial_series_coefficient(2.5, 0)) is float
+        assert type(binomial_series_coefficient(2.5, 3)) is float
+        coeffs = remainder_coefficients(2.5, 10)
+        assert isinstance(coeffs, np.ndarray) and coeffs.shape == (9,)
+
+    def test_tail_bound_is_infinite_at_one_without_a_warning(self):
+        coeffs = remainder_coefficients(4.5, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = remainder_tail_bound(coeffs, np.array([0.5, 1.0]))
+        assert bound[0] > 0.0 and bound[1] == math.inf
+
 
 class TestSuite:
     def test_default_grids(self):
@@ -204,6 +243,56 @@ class TestSuite:
                             lambda b, ts: CheckResult("injected", "fail", -1.0))
         report = run_verification_suite(b_grid=[2.0], t_grid=default_t_grid(128))
         assert not report.ok
+
+    def test_unit_t_node_leaks_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_verification_suite(b_grid=[1.0, 3.0], t_grid=[1.0])
+        assert report.ok
+
+    def test_family_b_accepts_t_zero(self):
+        assert run_verification_suite(b_grid=[1.0], t_grid=[0.0, 0.5]).ok
+
+    def test_non_family_b_rejects_t_zero(self):
+        with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\]$"):
+            run_verification_suite(b_grid=[1.0, 2.5], t_grid=[0.0, 0.5])
+
+    @pytest.mark.parametrize("b", [0.0, -1.5])
+    def test_rejects_nonpositive_b(self, b):
+        with pytest.raises(ValueError, match="^b must be > 0$"):
+            run_verification_suite(b_grid=[b], t_grid=default_t_grid(64))
+
+    @pytest.mark.parametrize("b_grid,t_grid", [
+        (None, None),
+        (np.round(np.arange(1, 41) * 0.5, 10), default_t_grid(512)),
+    ])
+    def test_default_and_quick_grids_match_the_per_b_reference(self, b_grid, t_grid):
+        assert (run_verification_suite(b_grid, t_grid).to_json()
+                == run_verification_suite_reference(b_grid, t_grid).to_json())
+
+    # the JSON text, not the checks, is compared: an inconclusive check's NaN
+    # margin is never equal to itself
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        b_grid=st.lists(st.one_of(
+            st.floats(0.0, 40.0, exclude_min=True),
+            st.floats(0.0, 2.0, exclude_min=True),
+            st.integers(1, 40).map(float),
+            st.sampled_from([1.0, 3.0]),
+            st.integers(1, 400).map(lambda k: round(k * 0.1, 10)),
+        ), min_size=1, max_size=8),
+        t_grid=st.lists(st.one_of(
+            st.floats(1e-9, 1e-4),
+            st.floats(1e-4, 1.0),
+            st.just(1.0),
+        ), min_size=1, max_size=48),
+    )
+    @example(b_grid=[1.0, 3.0], t_grid=[1.0])
+    @example(b_grid=[0.1, 2.0, 4.0, 16.0], t_grid=[3e-7, 5e-5, 0.5, 1.0])
+    def test_matches_the_per_b_reference(self, b_grid, t_grid):
+        ts = np.array(t_grid)
+        assert (run_verification_suite(b_grid, ts).to_json()
+                == run_verification_suite_reference(b_grid, ts).to_json())
 
     def test_report_serializes(self):
         report = run_verification_suite(b_grid=[2.0], t_grid=default_t_grid(128))
