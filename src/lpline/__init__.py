@@ -23,6 +23,7 @@ from .geometry import (
 )
 from .exact import (
     DegenerateInputError,
+    EveryDirection,
     FamilyDescriptor,
     OptimalSet,
     ParallelStrip,
@@ -72,7 +73,7 @@ __all__ = [
     "canonicalize", "default_eps_zero", "distance_vector",
     "first_order_residual", "line_through", "lines_close",
     "lp_objective", "sign_partition",
-    "DegenerateInputError", "FamilyDescriptor", "OptimalSet",
+    "DegenerateInputError", "EveryDirection", "FamilyDescriptor", "OptimalSet",
     "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
     "solve_p1", "solve_p2", "solve_pinf",
     "SolveReport", "best_offset_for_direction",

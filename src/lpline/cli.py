@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .exact import (
     DegenerateInputError,
+    EveryDirection,
     ParallelStrip,
     PencilThroughPoint,
     ReducedCurve,
@@ -39,6 +40,8 @@ def _family_dict(fam) -> dict:
     if isinstance(fam, ReducedCurve):
         return {"kind": "reduced-curve", "p": fam.p,
                 "y_range": list(fam.y_range), "curve": fam.curve}
+    if isinstance(fam, EveryDirection):
+        return {"kind": "every-direction", "p": fam.p}
     raise TypeError(f"unknown family {fam!r}")
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "PencilThroughPoint",
     "ParallelStrip",
     "ReducedCurve",
+    "EveryDirection",
     "FamilyDescriptor",
     "OptimalSet",
     "solve_p1",
@@ -80,7 +81,17 @@ class ReducedCurve:
     curve: str
 
 
-FamilyDescriptor = Union[PencilThroughPoint, ParallelStrip, ReducedCurve]
+@dataclass(frozen=True)
+class EveryDirection:
+    """An optimal line in every direction, within 8 beta over all of [0, pi) (a flat
+    :func:`~lpline.numeric.minimize` scan; a family covering only part of it is not flat):
+    each theta's line of offset ``best_offset_for_direction(points, theta, p)``.  Not an
+    exact family: orbits flat at float resolution (21-, 25-gons, p = 19.5) read so too."""
+
+    p: float
+
+
+FamilyDescriptor = Union[PencilThroughPoint, ParallelStrip, ReducedCurve, EveryDirection]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .geometry import (
     _power_terms,
     _slope_sum,
 )
-from .exact import OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
+from .exact import EveryDirection, OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
 
 __all__ = [
     "SolveReport",
@@ -42,9 +42,6 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
-# a family's starts: at most this many scan lanes, at least this far apart in theta
-_MULTISTART_KEEP = 8
-MIN_THETA_SEPARATION = math.pi / 36.0
 # theta scan: lanes over [0, pi)
 _THETA_SAMPLES = 720
 # scan start: the mean offset (the root at p = 2) up to this p, the midrange
@@ -61,15 +58,16 @@ _ROUNDING = 8.0
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver result plus diagnostics.  Tied lines, and ``optimal.degenerate``,
-    mean "indistinguishable at the input's resolution" (8 beta, :func:`minimize`).
+    """Solver result plus diagnostics.  Tied lines, and a family
+    (``optimal.degenerate``), mean "indistinguishable at the input's
+    resolution" (8 beta, :func:`minimize`).
 
     ``stationarity_residual`` is the worst first-order offset defect over the
-    returned lines, in the centred copy that :func:`minimize` solves (scaled
-    when its sums overflow).  It vanishes (within ~1e-7 of the value scale) at
-    regular optima; when p is very close to 1 and the optimum continues into a
-    line through two points, the balancing terms sit below float resolution
-    and the reported defect stays O(1) though the line is exact.
+    returned lines (a family's best scan lane), in the centred copy that
+    :func:`minimize` solves (scaled when its sums overflow).  It vanishes (within
+    ~1e-7 of the value scale) at regular optima; when p is very close to 1 and
+    the optimum continues into a line through two points, the balancing terms
+    sit below float resolution and the reported defect stays O(1) though exact.
 
     ``evaluations`` counts one per lane and round of every Newton search: the
     scan's offsets, the refinement's theta (a lane stops at its slope's
@@ -244,14 +242,14 @@ def minimize(points, p) -> SolveReport:
     Centres the points on their centroid once and solves there: scans
     ``theta`` over [0, pi), solving every lane's offset to float resolution,
     and refines every circular local minimum of the scan at once inside its
-    lane's bracket (:func:`_refine`); for a family the best well-separated
-    lanes are the starts instead.  All distinct lines tying with the best
+    lane's bracket (:func:`_refine`).  All distinct lines tying with the best
     value are returned, each mapped back once as (theta, c + <n(theta), centroid>);
     ``min_value`` is the value on the centred points.  Lines tie, and a scan
-    is a family (``degenerate``: its values spread over a positive, finite
-    minimum), within ``_ROUNDING`` = 8 times beta (:func:`_tie_bound`):
-    "indistinguishable at the input's resolution".  So orbits flat at float
-    resolution read as families (the 21- and 25-gons at p = 19.5: 2.9, 0.74 beta).
+    is flat (its values spread over a positive, finite minimum), within
+    ``_ROUNDING`` = 8 times beta (:func:`_tie_bound`): "indistinguishable at
+    the input's resolution".  A flat scan returns no lines, the best lane's
+    value and one :class:`~lpline.exact.EveryDirection` family.  So orbits flat
+    at float resolution read as families (the 21- and 25-gons at p = 19.5).
 
     If every refined direction overflows, the search reruns on the centred
     points times 2^-k, 2^k <= largest coordinate spread < 2^(k+1), which is
@@ -276,43 +274,38 @@ def minimize(points, p) -> SolveReport:
             found = (_search(np.ldexp(arr, -k), pn, math.ldexp(delta, -k), counter)
                      if k > 0 else None)
             if found is not None:
-                found = (min(lp_objective(arr, UnitLine(g.theta, math.ldexp(g.c, k)), pn)
-                             for g in found[1]), *found[1:])
+                # a flat scan has no line to value on arr, whose lanes overflowed
+                found = (min((lp_objective(arr, UnitLine(g.theta, math.ldexp(g.c, k)), pn)
+                              for g in found[1]), default=math.inf), *found[1:])
     if found is None or math.isinf(found[0]):
         raise ValueError(f"objective overflows float at p = {pn.value!r}: "
                          "no refined direction has a finite value")
-    best, lines, degenerate, residual = found
+    best, lines, flat, residual = found
     lines = tuple(UnitLine(g.theta, math.ldexp(g.c, k) + float(centre @ g.normal()))
                   for g in lines)
-    return SolveReport(OptimalSet(best, lines, (), degenerate=degenerate), residual, counter.n)
+    families = (EveryDirection(pn.value),) if flat else ()
+    return SolveReport(OptimalSet(best, lines, families, degenerate=flat), residual, counter.n)
 
 
 def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
-    """:func:`minimize` on ``arr``: (best, lines, degenerate, stationarity
-    residual), or None if the refined direction of a start overflows."""
+    """:func:`minimize` on ``arr``: (best, lines, flat, stationarity residual),
+    or None if the refined direction of a start overflows.  A flat scan returns
+    at once, with no lines: every lane's offset is solved to float resolution."""
     pv = pn.value
 
     thetas = np.arange(_THETA_SAMPLES) * (math.pi / _THETA_SAMPLES)
     scan_c, scan_values = _scan_values(arr, thetas, pv, _NEWTON_ITERS, counter)
 
-    # starts, best scan value first: for a family the best well-separated
-    # lanes, else every circular local minimum (the best lane if all are equal)
     order = np.argsort(scan_values, kind="stable")
     i, lo = int(order[0]), float(scan_values[order[0]])
-    flat = 0.0 < lo < math.inf and float(scan_values.max()) - lo <= _tie_bound(
-        arr, UnitLine(thetas[i], scan_c[i]), lo, pv, delta)
-    if flat:
-        starts: list[int] = []
-        for idx in order.tolist():
-            gaps = (abs(thetas[idx] - thetas[k]) for k in starts)
-            if all(min(gap, math.pi - gap) >= MIN_THETA_SEPARATION for gap in gaps):
-                starts.append(idx)
-                if len(starts) >= _MULTISTART_KEEP:
-                    break
-    else:
-        minimum = ((scan_values <= np.roll(scan_values, 1))
-                   & (scan_values < np.roll(scan_values, -1)))
-        starts = order[minimum[order]].tolist() or [int(order[0])]
+    g = UnitLine(thetas[i], scan_c[i])
+    if 0.0 < lo < math.inf and float(scan_values.max()) - lo <= _tie_bound(arr, g, lo, pv, delta):
+        return lo, [], True, abs(first_order_residual(arr, g, pn))
+
+    # starts, best scan value first: every circular local minimum (the best lane if all equal)
+    minimum = ((scan_values <= np.roll(scan_values, 1))
+               & (scan_values < np.roll(scan_values, -1)))
+    starts = order[minimum[order]].tolist() or [int(order[0])]
 
     theta_star, c_star, values = _refine(arr, pv, thetas, scan_c, starts, counter)
     if not np.all(values < math.inf):
@@ -323,7 +316,7 @@ def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
     best, lines = _ties(refined, _tie_bound(arr, refined[0][1], refined[0][0], pv, delta), 1e-7)
 
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
-    return best, lines, flat, residual
+    return best, lines, False, residual
 
 
 def _tie_bound(arr: np.ndarray, g: UnitLine, value: float, pv: float, delta: float) -> float:

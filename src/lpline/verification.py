@@ -348,6 +348,8 @@ def run_verification_suite(b_grid=None, t_grid=None) -> SuiteReport:
     if len(bs) == 0 or len(ts) == 0:
         raise ValueError("grids must be non-empty")
     b_list = [float(b) for b in bs]
+    if not all(b > 0.0 for b in b_list):  # NaN too, whichever branch of h its nodes reach
+        raise ValueError("b must be > 0")
     grid = _Grid(b_list, ts)
 
     def one_b(b: float) -> list[CheckResult]:

@@ -1,11 +1,15 @@
 import json
 import math
 import threading
+import typing
 
 import pytest
 
 from lpline import verification
-from lpline.cli import main
+from lpline.cli import _family_dict, main
+from lpline.exact import (
+    EveryDirection, FamilyDescriptor, ParallelStrip, PencilThroughPoint, ReducedCurve)
+from lpline.geometry import Point2, UnitLine
 from lpline.fileio import (
     fmt,
     locate_transitions,
@@ -133,6 +137,13 @@ class TestSolveCommand:
         assert doc["families"][0]["kind"] == "pencil"
         assert doc["families"][0]["center"][1] == pytest.approx(SQRT3 / 6, abs=1e-12)
 
+    def test_triangle_p43_family(self, triangle_file, capsys):
+        assert main(["solve", "--points", triangle_file, "--p", "4/3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lines"] == []
+        assert doc["families"] == [{"kind": "every-direction", "p": 4.0 / 3.0}]
+        assert doc["degenerate"] is True
+
     @pytest.mark.parametrize("p_text,expected", [
         ("1", SQRT3 / 2),
         ("4/3", 2.0 ** (-1.0 / 3.0)),
@@ -176,6 +187,22 @@ class TestSolveCommand:
         path.write_text("".join(f"{64 * x!r},{64 * y!r}\n" for x, y in canonical_triangle()))
         assert main(["solve", "--points", str(path), "--p", "672.69"]) == 3
         assert "overflows" in capsys.readouterr().err
+
+
+# one instance of each family descriptor
+FAMILIES = {
+    PencilThroughPoint: PencilThroughPoint(Point2(0.0, 0.5)),
+    ParallelStrip: ParallelStrip(UnitLine(0.5, 0.0), UnitLine(0.5, 1.0)),
+    ReducedCurve: ReducedCurve(4.0 / 3.0, (0.0, 0.25), "x(y)"),
+    EveryDirection: EveryDirection(1.5),
+}
+
+
+def test_every_family_descriptor_has_a_json_kind():
+    assert set(FAMILIES) == set(typing.get_args(FamilyDescriptor))
+    docs = [_family_dict(FAMILIES[kind]) for kind in typing.get_args(FamilyDescriptor)]
+    assert len({doc["kind"] for doc in docs}) == len(docs)
+    json.dumps(docs)
 
 
 class TestSweepCommand:

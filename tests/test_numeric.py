@@ -21,7 +21,7 @@ from lpline import (
     solve_pinf,
 )
 from lpline import numeric, triangle
-from lpline.exact import DegenerateInputError
+from lpline.exact import DegenerateInputError, EveryDirection
 from lpline.geometry import _as_xy, _offsets, _power_sum, _slope_sum, lines_close
 from lpline.numeric import golden_section
 from lpline.triangle import (
@@ -186,7 +186,7 @@ class TestMinimize:
 
     def test_triangle_p2_degenerate_flag(self):
         report = minimize(TRI, 2.0)
-        assert report.optimal.degenerate
+        _assert_every_direction(report, 2.0)
         assert report.optimal.min_value == pytest.approx(0.5, abs=1e-10)
 
     def test_not_degenerate_off_families(self):
@@ -231,6 +231,10 @@ class TestMinimize:
         pts = 64.0 * np.array([tuple(q) for q in TRI])
         with pytest.raises(ValueError, match="overflows"):
             minimize(pts, 672.69)
+        # a flat scan of the scaled copy has no line whose value could be
+        # taken unscaled: the lanes of the input overflowed
+        with pytest.raises(ValueError, match="overflows"):
+            minimize(3e231 * _as_xy(TRI), "4/3")
 
     def test_overflowing_search_is_solved_at_a_smaller_scale(self):
         # at scale 6.4 every refined direction overflows, but the optimum
@@ -284,14 +288,14 @@ class TestMinimize:
 
     def test_triangle_p43_degenerate_flag(self):
         report = minimize(TRI, 4.0 / 3.0)
-        assert report.optimal.degenerate
         assert report.optimal.min_value == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-10)
         # shifted 1e6 sizes, the input's rounding spreads a family's scan
         # values by ~1e-10 relative, inside the family tolerance
         for points, p in [(TRI, 4.0 / 3.0), (regular_polygon(5), 4.0)]:
             pts = np.array([tuple(q) for q in points])
             size = float(np.max(np.ptp(pts, axis=0)))
-            assert minimize(pts + 1e6 * size, p).optimal.degenerate, p
+            for shift in (0.0, 1e6 * size):
+                _assert_every_direction(minimize(pts + shift, p), p)
 
     def test_near_one_snaps_to_pair_line(self):
         # approaching p = 1 the optimum continues into a line through two
@@ -326,6 +330,16 @@ class TestMinimize:
                 mapped = [transform_line(g, iso) for g in base.optimal.lines]
                 for g in moved.optimal.lines:
                     assert min(line_param_distance(g, h) for h in mapped) < 1e-6
+
+
+def _assert_every_direction(report, p: float) -> None:
+    """A flat scan reports one family, no sample lines, and the best lane's
+    offset solved to float resolution."""
+    optimal = report.optimal
+    assert optimal.degenerate, p
+    assert optimal.lines == (), p
+    assert optimal.families == (EveryDirection(p),), p
+    assert report.stationarity_residual <= 1e-12, p
 
 
 def _dn_closure_gap(lines, n: int) -> float:
@@ -385,7 +399,7 @@ class TestRefinement:
     ], ids=["triangle-p1.5", "9-gon-p3", "triangle-p4/3", "triangle-p1.05"])
     def test_evaluations_stay_bounded(self, points, p, bound):
         # the theta scan takes a few Newton rounds per lane (720 lanes); at
-        # p = 4/3 the scan flags the family and 8 starts are refined; near
+        # p = 4/3 the scan is flat and nothing is refined; near
         # p = 1 most lanes' roots sit on a vertex, which the linearized step
         # finds in one or two rounds
         assert minimize(points, p).evaluations <= bound

@@ -38,6 +38,33 @@ def test_retired_names_are_gone():
     # minimize bisects nothing; the one bisection left serves locate_transitions
     assert not hasattr(numeric, "bisect_sign")
     assert "bisect_sign" not in numeric.__all__
+    # a flat scan is one family, not a cap of well-separated sample starts
+    assert not hasattr(numeric, "_MULTISTART_KEEP")
+    assert not hasattr(numeric, "MIN_THETA_SEPARATION")
+
+
+def test_public_names():
+    assert sorted(lpline.__all__) == sorted([
+        "PNorm", "Point2", "SignPartition", "UnitLine",
+        "canonicalize", "default_eps_zero", "distance_vector",
+        "first_order_residual", "line_through", "lines_close",
+        "lp_objective", "sign_partition",
+        "DegenerateInputError", "EveryDirection", "FamilyDescriptor", "OptimalSet",
+        "ParallelStrip", "PencilThroughPoint", "ReducedCurve",
+        "solve_p1", "solve_p2", "solve_pinf",
+        "SolveReport", "best_offset_for_direction",
+        "minimize", "objective_gradient", "solve",
+        "ReducedPoint", "TrianglePhase",
+        "canonical_triangle", "centroid", "classify_phase", "critical_x_of_y",
+        "family_indicator", "family_member", "reduced_gradient", "reduced_objective",
+        "reduced_to_line", "regime_indicator",
+        "side_parallel_offset", "side_parallel_value", "stationarity_gap",
+        "symmetry_orbit", "triangle_min_value", "triangle_optimal_set",
+        "SuiteReport",
+        "run_verification_suite", "stationarity_gap_over_t",
+        "__version__",
+    ])
+    assert all(hasattr(lpline, name) for name in lpline.__all__)
 
 
 @pytest.mark.parametrize("module,name", [

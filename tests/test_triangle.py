@@ -7,6 +7,7 @@ import pytest
 from lpline import (
     ReducedPoint,
     TrianglePhase,
+    best_offset_for_direction,
     canonical_triangle,
     centroid,
     classify_phase,
@@ -24,7 +25,7 @@ from lpline import (
     triangle_min_value,
     triangle_optimal_set,
 )
-from lpline.exact import PencilThroughPoint, ReducedCurve
+from lpline.exact import EveryDirection, PencilThroughPoint, ReducedCurve
 from lpline.numeric import golden_section
 
 from conftest import family_lines, line_param_distance, point_line_distance
@@ -374,6 +375,21 @@ class TestTriangleOptimalSet:
         for g in family_lines(curve, 32):
             assert lp_objective(TRI, g, 4.0 / 3.0) == pytest.approx(
                 opt.min_value, rel=1e-12)
+
+    def test_family_p43_matches_the_every_direction_descriptor(self):
+        # the closed form's curve and minimize's descriptor describe the same
+        # lines: each orbit line of a curve member has the best offset of its
+        # direction, and the optimal value
+        assert minimize(TRI, "4/3").optimal.families == (EveryDirection(4.0 / 3.0),)
+        best = triangle_min_value("4/3")
+        worst_offset = worst_value = 0.0
+        for y in np.linspace(0.0, SQRT3 / 6.0, 25):
+            for g in symmetry_orbit(reduced_to_line(family_member("4/3", float(y)))):
+                c, value = best_offset_for_direction(TRI, g.theta, "4/3")
+                worst_offset = max(worst_offset, abs(c - g.c))
+                worst_value = max(worst_value, abs(value - best) / best)
+        assert worst_offset <= 1e-12
+        assert worst_value <= 1e-12
 
     def test_endpoints_delegate(self):
         assert triangle_optimal_set(1.0).min_value == pytest.approx(SQRT3 / 2, abs=1e-12)

@@ -257,10 +257,20 @@ class TestSuite:
         with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\]$"):
             run_verification_suite(b_grid=[1.0, 2.5], t_grid=[0.0, 0.5])
 
-    @pytest.mark.parametrize("b", [0.0, -1.5])
+    @pytest.mark.parametrize("b", [0.0, -1.5, math.nan])
     def test_rejects_nonpositive_b(self, b):
         with pytest.raises(ValueError, match="^b must be > 0$"):
             run_verification_suite(b_grid=[b], t_grid=default_t_grid(64))
+
+    # nodes below the series switch evaluate no stationarity_gap
+    @pytest.mark.parametrize("b_grid,t_grid", [
+        ([-1.0], [1e-6]),
+        ([math.nan], [1e-6]),
+        ([2.0, -1.0], [1e-6, 0.5]),
+    ])
+    def test_rejects_b_outside_the_domain_on_series_nodes(self, b_grid, t_grid):
+        with pytest.raises(ValueError, match="^b must be > 0$"):
+            run_verification_suite(b_grid=b_grid, t_grid=t_grid)
 
     @pytest.mark.parametrize("b_grid,t_grid", [
         (None, None),
