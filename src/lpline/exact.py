@@ -24,7 +24,6 @@ from .geometry import (
     UnitLine,
     canonicalize,
     line_through,
-    lines_close,
     _as_xy,
     _eps_zero,
     _offsets,
@@ -44,10 +43,11 @@ __all__ = [
     "solve_pinf",
 ]
 
-# relative tie tolerance when collecting equal-value minimizers
-_TIE_RTOL = 1e-12
-# relative eigenvalue-gap tolerance for declaring the scatter isotropic
-TOL_ISO = 1e-9
+_EPS = float(np.finfo(float).eps)
+# ties, isotropy and minimize's theta stop and family test: within this many rounding bounds
+_ROUNDING = 8.0
+# two lines are one when every point's signed distances to them agree within this many delta
+_SAME_LINE = 64.0
 # offsets scored at once by solve_p1 and solve_pinf
 _PAIR_BLOCK = 1 << 16
 
@@ -114,21 +114,43 @@ def _check_points(points) -> np.ndarray:
     return arr
 
 
-def _ties(candidates: list[tuple[float, UnitLine]], tol: float,
-          atol: float = 1e-9) -> tuple[float, list[UnitLine]]:
-    """The best value and the distinct lines within ``tol`` of it, sorted by
-    (theta, c).  The closed forms pass ``_TIE_RTOL (1 + |best|)``, and
-    :func:`~lpline.numeric.minimize` 8 beta: "indistinguishable at the input's resolution".
+def _resolution(arr: np.ndarray) -> float:
+    """delta = eps max |coordinate|: how far the input's own rounding may move a point."""
+    return _EPS * float(np.abs(arr).max())
 
-    Candidates are taken in the given order; a tying line within ``atol`` of
-    one already kept is dropped.
-    """
-    best = min(v for v, _ in candidates)
-    kept: list[UnitLine] = []
-    for v, g in candidates:
-        if v <= best + tol and not any(lines_close(g, h, atol) for h in kept):
-            kept.append(g)
-    return best, sorted(kept, key=lambda g: (g.theta, g.c))
+
+def _tie_bound(arr: np.ndarray, g: UnitLine | None, value: float, pv: float,
+               delta: float) -> float:
+    """``_ROUNDING`` beta for the line g of value sum |r_j|^p: beta = p delta
+    sqrt(2) sum |r_j|^(p-1) + eps log2(m) sum |r_j|^p is the value's first-order
+    change when every coordinate moves by delta, plus its pairwise sum's rounding
+    (Higham 2002, 4.2); at p = inf, of a half-width, sqrt(2) delta + eps value (g unused)."""
+    if pv == math.inf:
+        return _ROUNDING * (math.sqrt(2.0) * delta + _EPS * value)
+    s = float(_power_sum(g.c - _offsets(arr, *g.normal()), pv - 1.0))
+    return _ROUNDING * (pv * delta * math.sqrt(2.0) * s + _EPS * math.log2(len(arr)) * value)
+
+
+def _ties(arr: np.ndarray, candidates: list[tuple[float, UnitLine]], pv: float,
+          delta: float) -> tuple[float, list[UnitLine]]:
+    """The best value and the distinct lines within :func:`_tie_bound` of it (on the
+    first best candidate), sorted by (theta, c).  Taken in order, each kept line drops
+    every later tying line whose signed distances to the points agree with its own
+    (oriented to match) within ``_SAME_LINE`` delta, in one array expression."""
+    best, first = min(candidates, key=lambda t: t[0])
+    bound = _tie_bound(arr, first, best, pv, delta)
+    tying = [g for v, g in candidates if v <= best + bound]
+    kept, rest = [], np.arange(len(tying))
+    if rest.size > 1:
+        normals = np.array([g.normal() for g in tying])
+        residuals = arr @ normals.T - np.array([g.c for g in tying])  # (m, lines)
+    while rest.size > 1:
+        h, rest = rest[0], rest[1:]
+        kept.append(tying[h])
+        sign = np.copysign(1.0, normals[rest] @ normals[h])
+        copies = np.abs(residuals[:, rest] * sign - residuals[:, h, None]).max(axis=0)
+        rest = rest[~(copies <= _SAME_LINE * delta)]
+    return best, sorted(kept + [tying[h] for h in rest], key=lambda g: (g.theta, g.c))
 
 
 def solve_p1(points) -> OptimalSet:
@@ -136,8 +158,8 @@ def solve_p1(points) -> OptimalSet:
     as arrays ``_PAIR_BLOCK`` offsets at a time; the pairs whose scores can tie
     the best become lines, in pair order, with exact values for :func:`_ties`."""
     arr = _check_points(points)
-    eps = _eps_zero(arr)
-    first, second = np.triu_indices(len(arr), 1)
+    eps, delta = _eps_zero(arr), _resolution(arr)
+    first, second = np.nonzero(np.arange(len(arr))[:, None] < np.arange(len(arr)))  # i < j
     d = arr[second] - arr[first]
     norm = np.hypot(d[:, 0], d[:, 1])
     keep = norm != 0.0
@@ -148,40 +170,32 @@ def solve_p1(points) -> OptimalSet:
     for k in range(0, len(nx), size):
         offsets = _offsets(arr, nx[k:k + size, None], ny[k:k + size, None])
         scores[k:k + size] = np.abs(c[k:k + size, None] - offsets).sum(axis=1)
-    # |score - exact value| < delta: the rounding of the normal, offsets and sum
+    # |score - exact value| < 32 eps m (max |x| + |y| + best), the rounding of the
+    # normal, offsets and sum; the tie bound at p = 1 is below one more of it
     best = float(scores.min())
-    delta = 32.0 * np.finfo(float).eps * len(arr) * (float(np.max(np.abs(arr).sum(axis=1))) + best)
-    limit = best + 2.0 * delta + _TIE_RTOL * (1.0 + best + delta)
+    limit = best + 3.0 * 32.0 * _EPS * len(arr) * (float(np.max(np.abs(arr).sum(axis=1))) + best)
     near = scores <= limit if math.isfinite(limit) else np.ones(scores.shape, bool)
 
-    candidates: list[tuple[float, UnitLine]] = []
-    for i, j in zip(first[near].tolist(), second[near].tolist()):
-        g = line_through(arr[i], arr[j])
-        candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
-    best = min(v for v, _ in candidates)
-    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
+    # the near pairs' lines, each valued by one pairwise sum over its own row of residuals
+    lines = [line_through(arr[i], arr[j])
+             for i, j in zip(first[near].tolist(), second[near].tolist())]
+    n, c = np.array([g.normal() for g in lines]), np.array([g.c for g in lines])
+    values = _power_sum((c[:, None] - _offsets(arr, n[:, :1], n[:, 1:])).T, 1.0)
+    best, lines = _ties(arr, list(zip(values.tolist(), lines)), 1.0, delta)
 
+    # a pair is parallel when its lines part by at most _SAME_LINE delta over the points' extent
+    extent = 2.0 * float(np.max(np.hypot(*(arr - arr.mean(axis=0)).T))) if len(lines) > 1 else 0.0
     families: list[FamilyDescriptor] = []
     for g1, g2 in combinations(lines, 2):
         dt = abs(g1.theta - g2.theta)
-        if min(dt, abs(dt - math.pi)) > 1e-9:
+        if abs(math.sin(dt)) * extent > _SAME_LINE * delta:
             continue
         c1, c2 = g1.c, (g2.c if dt < 1.0 else -g2.c)
         offsets = _offsets(arr, *g1.normal())
         lo, hi = min(c1, c2), max(c1, c2)
-        inside = np.any((offsets > lo + eps) & (offsets < hi - eps))
-        if not inside:
+        if not np.any((offsets > lo + eps) & (offsets < hi - eps)):
             families.append(ParallelStrip(g1, g2))
     return OptimalSet(best, tuple(lines), tuple(families))
-
-
-def _scatter(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    centroid = arr.mean(axis=0)
-    d = arr - centroid
-    sxx = float(np.dot(d[:, 0], d[:, 0]))
-    syy = float(np.dot(d[:, 1], d[:, 1]))
-    sxy = float(np.dot(d[:, 0], d[:, 1]))
-    return centroid, sxx, sxy, syy
 
 
 def solve_p2(points) -> OptimalSet:
@@ -189,16 +203,19 @@ def solve_p2(points) -> OptimalSet:
 
     The closed-form eigenvalues of ``[[sxx, sxy], [sxy, syy]]`` are
     ``(tr -+ sqrt((sxx-syy)^2 + 4 sxy^2)) / 2``; the minimum of the objective
-    equals the smaller one.
+    equals the smaller one.  It is isotropic when their gap is within ``_ROUNDING`` times
+    2 sqrt(2) delta sum_j |p_j - centroid|, an eigenvalue's change as coordinates move by delta.
     """
     arr = _check_points(points)
-    centroid, sxx, sxy, syy = _scatter(arr)
+    centroid = arr.mean(axis=0)
+    d = arr - centroid
+    sxx, syy, sxy = (float(np.dot(d[:, i], d[:, j])) for i, j in ((0, 0), (1, 1), (0, 1)))
     tr = sxx + syy
     gap = math.hypot(sxx - syy, 2.0 * sxy)
     lam_min = max(0.5 * (tr - gap), 0.0)
 
     center = Point2(float(centroid[0]), float(centroid[1]))
-    if gap <= TOL_ISO * tr:
+    if gap <= _ROUNDING * 2.0 * math.sqrt(2.0) * _resolution(arr) * float(np.hypot(*d.T).sum()):
         return OptimalSet(lam_min, (), (PencilThroughPoint(center),), degenerate=True)
 
     # eigenvector for lam_min; pick the better-conditioned formula
@@ -223,7 +240,7 @@ def solve_pinf(points) -> OptimalSet:
     the best become lines, in pair order, for :func:`_ties`.
     """
     arr = _check_points(points)
-    first, second = np.triu_indices(len(arr), 1)
+    first, second = np.nonzero(np.arange(len(arr))[:, None] < np.arange(len(arr)))  # i < j
     d = arr[second] - arr[first]
     norm = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
     d, norm = d[norm != 0.0], norm[norm != 0.0]
@@ -234,9 +251,9 @@ def solve_pinf(points) -> OptimalSet:
         offsets = _offsets(arr, nx[k:k + size, None], ny[k:k + size, None])
         lo[k:k + size], hi[k:k + size] = offsets.min(axis=1), offsets.max(axis=1)
     values, mids = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    best = min(values.tolist())
-    tol = _TIE_RTOL * (1.0 + abs(best))
-    near = (values <= best + tol) | math.isnan(best)
-    best, lines = _ties([(v, canonicalize(UnitLine(math.atan2(y, x), c))) for v, x, y, c
-                         in zip(*(u[near].tolist() for u in (values, nx, ny, mids)))], tol)
+    best, delta = min(values.tolist()), _resolution(arr)
+    near = (values <= best + _tie_bound(arr, None, best, math.inf, delta)) | math.isnan(best)
+    best, lines = _ties(arr, [(v, canonicalize(UnitLine(math.atan2(y, x), c))) for v, x, y, c
+                              in zip(*(u[near].tolist() for u in (values, nx, ny, mids)))],
+                        math.inf, delta)
     return OptimalSet(best, tuple(lines))

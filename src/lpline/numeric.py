@@ -29,7 +29,8 @@ from .geometry import (
     _power_terms,
     _slope_sum,
 )
-from .exact import EveryDirection, OptimalSet, _check_points, _ties, solve_p1, solve_p2, solve_pinf
+from .exact import (EveryDirection, OptimalSet, _EPS, _ROUNDING, _check_points, _resolution,
+                    _tie_bound, _ties, solve_p1, solve_p2, solve_pinf)
 
 __all__ = [
     "SolveReport",
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_EPS = float(np.finfo(float).eps)
 # theta scan: lanes over [0, pi)
 _THETA_SAMPLES = 720
 # scan start: the mean offset (the root at p = 2) up to this p, the midrange
@@ -52,8 +52,6 @@ _MEAN_START_P = 4.0
 _KINK_SHARE = 0.25
 # cap on the evaluations of one safeguarded Newton search
 _NEWTON_ITERS = 100
-# a theta lane's stop, the ties and the family test: within this many rounding bounds
-_ROUNDING = 8.0
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,9 @@ def minimize(points, p) -> SolveReport:
     value are returned, each mapped back once as (theta, c + <n(theta), centroid>);
     ``min_value`` is the value on the centred points.  Lines tie, and a scan
     is flat (its values spread over a positive, finite minimum), within
-    ``_ROUNDING`` = 8 times beta (:func:`_tie_bound`): "indistinguishable at
-    the input's resolution".  A flat scan returns no lines, the best lane's
+    ``_ROUNDING`` = 8 times beta (:func:`_tie_bound`), and tying lines are one
+    within ``_SAME_LINE`` delta (:func:`~lpline.exact._ties`): "indistinguishable
+    at the input's resolution".  A flat scan returns no lines, the best lane's
     value and one :class:`~lpline.exact.EveryDirection` family.  So orbits flat
     at float resolution read as families (the 21- and 25-gons at p = 19.5).
 
@@ -260,7 +259,7 @@ def minimize(points, p) -> SolveReport:
         raise ValueError("use exact solver")
     arr = _check_points(points)
     centre = arr.mean(axis=0)
-    delta = _EPS * float(max(np.max(np.abs(arr)), np.max(np.abs(arr - centre))))
+    delta = max(_resolution(arr), _resolution(arr - centre))
     arr = arr - centre
     counter, k = _Counter(), 0
     # sums far from the optimum may overflow to inf (or to nan, for a slope
@@ -313,19 +312,10 @@ def _search(arr: np.ndarray, pn: PNorm, delta: float, counter: _Counter):
     refined = [(value, canonicalize(UnitLine(theta, c)))
                for theta, c, value in zip(theta_star.tolist(), c_star.tolist(), values.tolist())]
     refined.sort(key=lambda t: t[0])
-    best, lines = _ties(refined, _tie_bound(arr, refined[0][1], refined[0][0], pv, delta), 1e-7)
+    best, lines = _ties(arr, refined, pv, delta)
 
     residual = max(abs(first_order_residual(arr, g, pn)) for g in lines)
     return best, lines, False, residual
-
-
-def _tie_bound(arr: np.ndarray, g: UnitLine, value: float, pv: float, delta: float) -> float:
-    """``_ROUNDING`` beta for the line g of value sum |r_j|^p: beta = p delta
-    sqrt(2) sum |r_j|^(p-1) + eps log2(m) sum |r_j|^p is the value's first-order
-    change when every coordinate moves by delta, plus its pairwise sum's
-    rounding (Higham 2002, 4.2)."""
-    s = float(np.abs(_power_terms(g.c - _offsets(arr, *g.normal()), pv)[0]).sum())
-    return _ROUNDING * (pv * delta * math.sqrt(2.0) * s + _EPS * math.log2(len(arr)) * value)
 
 
 def _profile_slopes(arr: np.ndarray, theta: np.ndarray, c: np.ndarray, pv: float,

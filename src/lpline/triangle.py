@@ -163,7 +163,7 @@ def stationarity_gap(t, b: float):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("t must lie in [0, 1]")
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("b must be > 0")
     two_b = np.float64(2.0) ** b
     up = (1.0 + arr) ** b

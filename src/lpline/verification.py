@@ -125,6 +125,8 @@ def stationarity_gap_over_t(t, b: float):
     arr = np.asarray(t, dtype=float)
     if not _in_open_interval(arr):
         raise ValueError("t must lie in (0, 1]")
+    if not b > 0.0:  # NaN too, whichever branch of h the nodes reach
+        raise ValueError("b must be > 0")
     out = _gap_over_t(b, arr, _split(arr), _series_coefficients(b))
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)

@@ -29,8 +29,8 @@ from lpline import (
     lp_objective,
 )
 from lpline.exact import (
-    OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _TIE_RTOL, _check_points,
-    _ties)
+    OptimalSet, ParallelStrip, PencilThroughPoint, ReducedCurve, _SAME_LINE, _check_points,
+    _resolution, _ties)
 from lpline.fileio import SWEEP_HEADER, SweepRow
 from lpline.geometry import _as_xy, _eps_zero, _offsets, _power_sum, _slope_sum
 from lpline.numeric import _EPS, _INV_PHI, _NEWTON_ITERS
@@ -342,7 +342,7 @@ def solve_p1_reference(points) -> OptimalSet:
     """``exact.solve_p1`` as a loop over point pairs, each pair's line scored
     exactly: the brute-force oracle of the p = 1 solver."""
     arr = _check_points(points)
-    eps = _eps_zero(arr)
+    eps, delta = _eps_zero(arr), _resolution(arr)
 
     candidates: list[tuple[float, UnitLine]] = []
     for i, j in combinations(range(len(arr)), 2):
@@ -350,14 +350,14 @@ def solve_p1_reference(points) -> OptimalSet:
             continue
         g = line_through(arr[i], arr[j])
         candidates.append((float(_power_sum(g.c - _offsets(arr, *g.normal()), 1.0)), g))
+    best, lines = _ties(arr, candidates, 1.0, delta)
 
-    best = min(v for v, _ in candidates)
-    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
-
+    d = arr - arr.mean(axis=0)
+    extent = 2.0 * float(np.max(np.hypot(d[:, 0], d[:, 1])))
     families = []
     for g1, g2 in combinations(lines, 2):
         dt = abs(g1.theta - g2.theta)
-        if min(dt, abs(dt - math.pi)) > 1e-9:
+        if abs(math.sin(dt)) * extent > _SAME_LINE * delta:
             continue
         c1, c2 = g1.c, (g2.c if dt < 1.0 else -g2.c)
         offsets = _offsets(arr, *g1.normal())
@@ -384,9 +384,7 @@ def solve_pinf_reference(points) -> OptimalSet:
         lo, hi = float(np.min(offsets)), float(np.max(offsets))
         g = canonicalize(UnitLine(math.atan2(ny, nx), 0.5 * (lo + hi)))
         candidates.append((0.5 * (hi - lo), g))
-
-    best = min(v for v, _ in candidates)
-    best, lines = _ties(candidates, _TIE_RTOL * (1.0 + abs(best)))
+    best, lines = _ties(arr, candidates, math.inf, _resolution(arr))
     return OptimalSet(best, tuple(lines))
 
 

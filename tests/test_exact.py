@@ -132,6 +132,25 @@ class TestSolveP2:
         for g in family_lines(pencil, 32):
             assert lp_objective(TRI, g, 2.0) == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("stretch", [1e-13, 1e-12])
+    def test_stretched_polygon_is_no_pencil(self, stretch):
+        # the anisotropy is 20 and 200 times the rounding bound of the exact input
+        pts = np.array([tuple(q) for q in regular_polygon(12)]) * [1.0 + stretch, 1.0]
+        opt = solve_p2(pts)
+        assert not opt.degenerate
+        assert len(opt.lines) == 1 and not opt.families
+
+    def test_shifted_polygons_keep_the_pencil(self):
+        # the shift's rounding moves the eigenvalues by far less than its bound
+        for n in range(3, 16):
+            base = np.array([tuple(q) for q in regular_polygon(n)])
+            for shift in (10.0 ** k for k in range(3, 10)):
+                for k in range(8):
+                    move = shift * np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)])
+                    opt = solve_p2(base + move)
+                    assert opt.degenerate, (n, shift, k)
+                    assert isinstance(opt.families[0], PencilThroughPoint)
+
     def test_three_point_example(self):
         # scatter matrix [[2, 1], [1, 2/3]]; smallest eigenvalue (8 - sqrt(52)) / 6
         pts = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 1.0)]

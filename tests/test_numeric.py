@@ -720,6 +720,29 @@ class TestTranslation:
                        for h in want.lines)
 
 
+class TestSimilarity:
+    """Every solver compares ties, lines and isotropy at the input's own
+    resolution, so a regular polygon keeps the shape of its optimal set under
+    any similarity: rotated, scaled and moved up to 1e9 sizes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 15),
+        p=st.sampled_from([1.0, 2.0, math.inf, 1.5, 3.0]),
+        scale=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        shift=st.one_of(st.just(0.0), st.floats(0.0, 9.0).map(lambda e: 10.0 ** e)),
+        direction=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_keeps_the_counts_and_flag(self, n, p, scale, angle, shift, direction):
+        base = _as_xy(regular_polygon(n))
+        turn = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        move = shift * np.array([math.cos(direction), math.sin(direction)])
+        want, got = solve(base, p), solve(scale * (base @ turn.T + move), p)
+        assert (len(got.lines), len(got.families), got.degenerate) == (
+            len(want.lines), len(want.families), want.degenerate)
+
+
 class TestDistanceOrderingAtOptima:
     def test_two_against_one_with_singleton_largest(self, rng):
         # at any optimum of a (non-degenerate) triangle with no point on the

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import lpline
-from lpline import fileio, geometry, numeric, verification
+from lpline import exact, fileio, geometry, numeric, verification
 from lpline.cli import main
-from lpline.geometry import UnitLine, first_order_residual, sign_partition
+from lpline.geometry import UnitLine, first_order_residual, lines_close, sign_partition
 from lpline.triangle import ReducedPoint, bisect_sign, locate_transitions, symmetry_orbit
 from lpline.verification import run_verification_suite, triangle_cross_checks
 
@@ -24,6 +24,14 @@ from lpline.verification import run_verification_suite, triangle_cross_checks
     (first_order_residual, ["points", "g", "p"]),
     (sign_partition, ["points", "g"]),
     (bisect_sign, ["f", "lo", "hi", "iters", "width"]),
+    (lines_close, ["g1", "g2", "atol"]),
+    (lpline.solve_p1, ["points"]),
+    (lpline.solve_p2, ["points"]),
+    (lpline.solve_pinf, ["points"]),
+    (lpline.minimize, ["points", "p"]),
+    (lpline.solve, ["points", "p"]),
+    (lpline.stationarity_gap, ["t", "b"]),
+    (lpline.stationarity_gap_over_t, ["t", "b"]),
 ])
 def test_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -41,6 +49,11 @@ def test_retired_names_are_gone():
     # a flat scan is one family, not a cap of well-separated sample starts
     assert not hasattr(numeric, "_MULTISTART_KEEP")
     assert not hasattr(numeric, "MIN_THETA_SEPARATION")
+    # every solver ties and tests isotropy at the input's resolution, in exact alone
+    assert not hasattr(exact, "_TIE_RTOL")
+    assert not hasattr(exact, "TOL_ISO")
+    assert numeric._tie_bound is exact._tie_bound
+    assert list(inspect.signature(exact._ties).parameters) == ["arr", "candidates", "pv", "delta"]
 
 
 def test_public_names():

@@ -208,6 +208,11 @@ class TestStationarityGap:
         assert stationarity_gap(0.5, 0.5) == pytest.approx(direct, rel=1e-14)
         assert stationarity_gap(0.5, 0.5) == pytest.approx(0.8272251, abs=1e-7)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_rejects_b_not_positive(self, b):
+        with pytest.raises(ValueError, match="^b must be > 0$"):
+            stationarity_gap(0.5, b)
+
     def test_exact_endpoint_zeros(self):
         for b in (0.3, 1.0, 1.7, 3.0, 4.5, 12.0):
             assert stationarity_gap(0.0, b) == 0.0

@@ -87,6 +87,13 @@ class TestScaledGap:
         with pytest.raises(ValueError):
             stationarity_gap_over_t(-0.1, 2.0)
 
+    # nodes below the series switch reach no stationarity_gap call
+    @pytest.mark.parametrize("t", [1e-6, 0.5, [1e-6, 0.5]])
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_rejects_b_not_positive(self, t, b):
+        with pytest.raises(ValueError, match="^b must be > 0$"):
+            stationarity_gap_over_t(t, b)
+
 
 class TestRemainderSeries:
     @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2),
