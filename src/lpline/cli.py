@@ -145,8 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves no state in the parser
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._parallel import parallel_map
-from .geometry import PNorm, Point2
-from .triangle import TrianglePhase, _phase_value_offset, locate_transitions
+from .geometry import Point2
+from .triangle import TrianglePhase, _float_phase, _value_offset, locate_transitions
 
 __all__ = [
     "fmt",
@@ -82,13 +82,13 @@ class SweepRow:
         return f"{p_text},{self.phase},{fmt(self.min_value)},{x0_text},{fam_text},{self.line_count}"
 
 
-def _row_for(p: PNorm) -> SweepRow:
-    phase, value, x0 = _phase_value_offset(p)
-    if p.is_inf:
-        return SweepRow(math.inf, phase.value, value, None, None, 3)
+def _sweep_row(p: float) -> SweepRow:
+    """The row of a float exponent p in [1, inf]."""
+    phase = _float_phase(p)
+    value, x0 = _value_offset(phase, p)
     if phase in (TrianglePhase.FAMILY_P2, TrianglePhase.FAMILY_P43):
-        return SweepRow(p.value, phase.value, value, x0, phase.value, "family")
-    return SweepRow(p.value, phase.value, value, x0, None, 3)
+        return SweepRow(p, phase.value, value, x0, phase.value, "family")
+    return SweepRow(p, phase.value, value, x0, None, 3)
 
 
 def triangle_sweep(p_min: float, p_max: float, steps: int,
@@ -98,18 +98,20 @@ def triangle_sweep(p_min: float, p_max: float, steps: int,
     if p_max < p_min or steps < 1:
         raise ValueError("invalid sweep range")
     if steps == 1:
-        ps: list[PNorm] = [PNorm.coerce(p_min)]
+        ps = [float(p_min)]
     else:
-        ps = [PNorm.coerce(p_min + (p_max - p_min) * k / (steps - 1))
-              for k in range(steps)]
+        ps = [p_min + (p_max - p_min) * k / (steps - 1) for k in range(steps)]
+    # an exponent is NaN only if the first is (a NaN end, or an infinite span times 0)
+    if math.isnan(ps[0]):
+        raise ValueError("p must be >= 1")
     # the family exponents are measure-zero; surface them whenever in range
     for q in (Fraction(4, 3), Fraction(2)):
-        if p_min < q < p_max and not any(pn.value == float(q) for pn in ps):
-            ps.append(PNorm.coerce(q))
-    ps.sort(key=lambda pn: pn.value)
-    rows = parallel_map(_row_for, ps)
+        if p_min < q < p_max and float(q) not in ps:
+            ps.append(float(q))
+    ps.sort()
+    rows = parallel_map(_sweep_row, ps)
     if include_inf:
-        rows.append(_row_for(PNorm.infinity()))
+        rows.append(_sweep_row(math.inf))
     return rows
 
 

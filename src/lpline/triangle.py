@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 SQRT3 = math.sqrt(3.0)
+_LOG2 = math.log(2.0)
+_LOG3 = math.log(3.0)
 _X_MAX = SQRT3 / 4.0
 _Y_FAMILY_MAX = SQRT3 / 6.0
 _MEMBER_TOL = 1e-12  # slack of the membership tests in M and on a family
@@ -204,7 +206,7 @@ def regime_indicator(b: float) -> float:
 
 def _log1p_2pow(b: float) -> float:
     """log(1 + 2^b), stable for large b."""
-    z = b * math.log(2.0)
+    z = b * _LOG2
     if z > 40.0:
         return z + math.log1p(math.exp(-z))
     return math.log1p(math.exp(z))
@@ -216,7 +218,7 @@ def _side_parallel(pv: float) -> tuple[float, float]:
     b = 1.0 / (pv - 1.0)
     log_sum = _log1p_2pow(b)
     x0 = SQRT3 / 2.0 * math.exp(-log_sum)
-    log_value = pv * 0.5 * math.log(3.0) - (pv - 1.0) * (math.log(2.0) + log_sum)
+    log_value = pv * 0.5 * _LOG3 - (pv - 1.0) * (_LOG2 + log_sum)
     return x0, math.exp(log_value)
 
 
@@ -264,7 +266,11 @@ def classify_phase(p) -> TrianglePhase:
         if Fraction(4, 3) < q < 2:
             return TrianglePhase.BISECTOR
         return TrianglePhase.PARALLEL
-    v = pn.value
+    return _float_phase(pn.value)
+
+
+def _float_phase(v: float) -> TrianglePhase:
+    """:func:`classify_phase` of a float exponent v in [1, inf]."""
     if v == 2.0:
         return TrianglePhase.FAMILY_P2
     if v == 4.0 / 3.0:
@@ -274,26 +280,25 @@ def classify_phase(p) -> TrianglePhase:
     return TrianglePhase.PARALLEL
 
 
-def _phase_value_offset(p) -> tuple[TrianglePhase, float, float | None]:
-    """``classify_phase``, ``triangle_min_value`` and ``side_parallel_offset``
-    at p (the offset None at p = 1 and p = inf), from one b and one
-    log(1 + 2^b)."""
-    pn = PNorm.coerce(p)
-    phase = classify_phase(pn)
-    if pn.is_inf:
-        return phase, SQRT3 / 4.0, None
-    if pn.value == 1.0:
-        return phase, SQRT3 / 2.0, None
-    x0, side_value = _side_parallel(pn.value)
+def _value_offset(phase: TrianglePhase, v: float) -> tuple[float, float | None]:
+    """``triangle_min_value`` and ``side_parallel_offset`` at a float exponent
+    v in [1, inf] of the given phase (the offset None at v = 1 and v = inf),
+    from one b and one log(1 + 2^b)."""
+    if v == math.inf:
+        return SQRT3 / 4.0, None
+    if v == 1.0:
+        return SQRT3 / 2.0, None
+    x0, side_value = _side_parallel(v)
     if phase is TrianglePhase.PARALLEL:
-        return phase, side_value, x0
+        return side_value, x0
     # the bisectors and both families share the bisector value
-    return phase, 2.0 ** (1.0 - pn.value), x0
+    return 2.0 ** (1.0 - v), x0
 
 
 def triangle_min_value(p) -> float:
     """Global minimum of the objective over all lines, for any p in [1, inf]."""
-    return _phase_value_offset(p)[1]
+    pn = PNorm.coerce(p)
+    return _value_offset(classify_phase(pn), pn.value)[0]
 
 
 def _indicator_at_p(p: float) -> float:

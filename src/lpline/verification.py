@@ -14,11 +14,12 @@ set degenerates to a one-parameter family.
 All checks here are numeric:  partial sums carry an explicit tail bound and a
 check reports ``inconclusive`` rather than ``pass`` whenever the bound cannot
 certify the claim.  :func:`run_verification_suite` does the work that does
-not depend on b once per call: it splits the t grid at the series switch,
-forms t^2, the tail bound's t^128 and 1 - t^2, and runs the coefficient
-recurrences for the whole b grid as arrays (bit for bit the scalar rows).
-Each b then costs the two powers of ``stationarity_gap`` and one Horner
-pass over the t grid.  :func:`triangle_cross_checks` complements the series-based
+not depend on b once per call: it splits the t grid, forms its powers, and
+for the whole b grid (bit for bit the scalar rows) runs the coefficient
+recurrences, the small-t series of h and the tail bound's decay test.  Each
+b then costs the two powers of ``stationarity_gap`` and, for b > 2, one
+Horner pass over the t grid (for 1 < b <= 2 at the smallest t^2 alone).
+:func:`triangle_cross_checks` complements the series-based
 suite by tying the analytic triangle solution to the generic solvers; the
 verify subcommand runs both.
 """
@@ -100,18 +101,24 @@ def _in_open_interval(arr: np.ndarray) -> bool:
     return not (np.any(arr <= 0.0) or np.any(arr > 1.0))
 
 
-def _gap_over_t(b: float, arr: np.ndarray, split, series) -> np.ndarray:
-    """h on a t grid already split by :func:`_split`, from h's series
-    coefficients at b."""
-    small, t_large, t2_small = split
+def _series_sum(series, t2):
+    """``sum_n c_n t^(2n)`` of h by Horner in the small nodes' squares ``t2``,
+    one row per b when ``series`` holds one column per b."""
+    acc = np.zeros(np.shape(series)[1:] + t2.shape)
+    for cn in reversed(np.expand_dims(series, -1)):
+        acc = acc * t2 + cn
+    return acc
+
+
+def _gap_over_t(b: float, arr: np.ndarray, split, series_sum) -> np.ndarray:
+    """h on a t grid already split by :func:`_split`, from the
+    :func:`_series_sum` of its small nodes at b."""
+    small, t_large, _ = split
     out = np.empty_like(arr)
     if t_large.size:
         out[~small] = stationarity_gap(t_large, b) / t_large
-    if t2_small.size:
-        acc = np.zeros_like(t2_small)
-        for cn in reversed(series):
-            acc = acc * t2_small + cn
-        out[small] = 2.0 * 2.0 ** b + acc
+    if series_sum.size:
+        out[small] = 2.0 * 2.0 ** b + series_sum
     return out
 
 
@@ -127,7 +134,8 @@ def stationarity_gap_over_t(t, b: float):
         raise ValueError("t must lie in (0, 1]")
     if not b > 0.0:  # NaN too, whichever branch of h the nodes reach
         raise ValueError("b must be > 0")
-    out = _gap_over_t(b, arr, _split(arr), _series_coefficients(b))
+    split = _split(arr)
+    out = _gap_over_t(b, arr, split, _series_sum(_series_coefficients(b), split[2]))
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -178,20 +186,26 @@ def remainder_tail_bound(coeffs: np.ndarray, t):
     inconclusive).
     """
     arr = np.asarray(t, dtype=float)
-    return _tail_bound(coeffs, arr ** (2 * (len(coeffs) + 1)), 1.0 - arr * arr)
+    return _tail_bound(coeffs[-1], _decays(coeffs), arr ** (2 * len(coeffs) + 2), 1.0 - arr * arr)
 
 
-def _tail_bound(coeffs: np.ndarray, power, gap):
-    """:func:`remainder_tail_bound` from t^(2N) and 1 - t^2."""
-    a_last = abs(float(coeffs[-1]))
+def _decays(coeffs: np.ndarray):
+    """Whether each row of ``coeffs`` decays for the tail bound: some ratio
+    |a_(n+1)/a_n| over its upper half is finite, and every finite one is < 1."""
+    half = coeffs[..., coeffs.shape[-1] // 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(half[..., 1:] / half[..., :-1])
+    finite = np.isfinite(ratios)
+    return np.any(finite, axis=-1) & np.all(~finite | (ratios < 1.0), axis=-1)
+
+
+def _tail_bound(a_last, decays, power, gap):
+    """:func:`remainder_tail_bound` from a_N, :func:`_decays`, t^(2N) and 1 - t^2."""
+    a_last = abs(float(a_last))
     if a_last == 0.0:
         # the recurrence keeps a zero factor forever: the series terminates
         return np.zeros_like(power)
-    half = coeffs[len(coeffs) // 2:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(half[1:] / half[:-1])
-    ratios = ratios[np.isfinite(ratios)]
-    if len(ratios) == 0 or float(np.max(ratios)) >= 1.0:
+    if not decays:
         return None
     with np.errstate(divide="ignore"):
         return a_last * power / gap
@@ -251,18 +265,20 @@ def default_t_grid(count: int = 4096) -> np.ndarray:
 
 class _Grid:
     """What every b of one suite run shares, computed once: the t grid, split
-    at _SERIES_SWITCH and with the tail bound's powers of t, and the
-    coefficient tables of the whole b grid, one row per b."""
+    at _SERIES_SWITCH and with the tail bound's powers of t, and per b a row of
+    h's small-t series, of remainder coefficients and of tail-bound premises."""
 
     def __init__(self, bs: list[float], ts: np.ndarray):
         n_terms = _REMAINDER_TERMS
         b_arr = np.array(bs, dtype=float)
         ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
+        self.split = _split(ts)
         # like the scalar recurrences, the tables overflow to inf and nan
         # silently at huge b (whose checks then fail or raise)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.series = _series_coefficients(b_arr)  # one column per b
+            self.series_sums = _series_sum(_series_coefficients(b_arr), self.split[2])
             self.remainder = remainder_coefficients(b_arr, 2 * n_terms)
+            self.decays = _decays(self.remainder[:, :n_terms - 1])
             # the geometric bound degenerates as t -> 1; there the dropped
             # terms obey |a_n| <= 1/(2n(n-1)) (checked on an extended range,
             # decaying below it), whose full tail telescopes to 1/(2N)
@@ -272,8 +288,8 @@ class _Grid:
         self.rows = {b: k for k, b in enumerate(bs)}  # b -> its row of the tables
         self.t = ts
         self.t_in_domain = _in_open_interval(ts)  # every t in (0, 1], where h is defined
-        self.split = _split(ts)
         self.t2 = ts * ts
+        self.t2_min = np.min(self.t2, keepdims=True)
         self.tail_power = ts ** (2 * n_terms)
         self.tail_gap = 1.0 - ts * ts
         self.harmonic = np.full_like(ts, 1.0 / (2.0 * n_terms))
@@ -292,7 +308,7 @@ def _check_identically_zero(b: float, grid: _Grid) -> CheckResult:
 def _check_sign_constant(b: float, grid: _Grid) -> CheckResult:
     if not grid.t_in_domain:
         raise ValueError("t must lie in (0, 1]")
-    h = _gap_over_t(b, grid.t, grid.split, grid.series[:, grid.rows[b]])
+    h = _gap_over_t(b, grid.t, grid.split, grid.series_sums[grid.rows[b]])
     target = family_indicator(b)
     signs_ok = bool(np.all(np.sign(h) == math.copysign(1.0, target))) and target != 0.0
     worst = int(np.argmin(np.abs(h)))
@@ -308,17 +324,19 @@ def _check_remainder_bound(b: float, grid: _Grid) -> CheckResult:
     # the recurrence does not depend on n_max: the first _REMAINDER_TERMS - 1
     # coefficients of the extended range are the truncated series
     coeffs = grid.remainder[k, :_REMAINDER_TERMS - 1]
-    partial = _horner_t2(coeffs, grid.t2)
     if b <= 2.0:
         # every coefficient is non-negative here (odd count of non-positive
         # factors times a negative trailing factor), so r >= 0 outright
-        if float(np.min(coeffs)) < -1e-300:
+        if float(np.min(coeffs)) < 0.0:
             return CheckResult(name, "fail", float(np.min(coeffs)),
                                note="expected non-negative coefficients")
-        margin = 0.5 + float(np.min(partial))
+        # a_n >= 0 and t^2 >= 0: each Horner step is non-decreasing in t^2
+        # (rounding is monotone), so the smallest t^2 gives the grid's minimum
+        margin = 0.5 + float(_horner_t2(coeffs, grid.t2_min)[0])
         return CheckResult(name, "pass", margin, None, note="non-negative series")
 
-    tail = _tail_bound(coeffs, grid.tail_power, grid.tail_gap)
+    partial = _horner_t2(coeffs, grid.t2)
+    tail = _tail_bound(coeffs[-1], grid.decays[k], grid.tail_power, grid.tail_gap)
     if grid.harmonic_ok[k]:
         tail = grid.harmonic if tail is None else np.minimum(tail, grid.harmonic)
     if tail is None:

@@ -39,7 +39,7 @@ from lpline.triangle import (
     reduced_to_line, side_parallel_offset, side_parallel_value, stationarity_gap)
 from lpline.verification import (
     CheckResult, SuiteReport, _horner_t2, binomial_series_coefficient, default_b_grid,
-    default_t_grid, remainder_coefficients, remainder_tail_bound)
+    default_t_grid, remainder_coefficients)
 
 
 def _curvature_sum(r: np.ndarray, p: float, weight=None) -> np.ndarray:
@@ -593,6 +593,22 @@ def _check_sign_constant_reference(b: float, t_grid: np.ndarray) -> CheckResult:
                        note="min |h| with sign matching the t->0 limit")
 
 
+def _tail_bound_reference(coeffs: np.ndarray, t_grid: np.ndarray):
+    """``remainder_tail_bound`` for one row of coefficients, its decay test
+    on the finite ratios of the row's upper half alone."""
+    a_last = abs(float(coeffs[-1]))
+    if a_last == 0.0:
+        return np.zeros_like(t_grid)
+    half = coeffs[len(coeffs) // 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(half[1:] / half[:-1])
+    ratios = ratios[np.isfinite(ratios)]
+    if len(ratios) == 0 or float(np.max(ratios)) >= 1.0:
+        return None
+    with np.errstate(divide="ignore"):
+        return a_last * t_grid ** (2 * (len(coeffs) + 1)) / (1.0 - t_grid * t_grid)
+
+
 def _check_remainder_bound_reference(b: float, t_grid: np.ndarray) -> CheckResult:
     name = f"remainder-lower-bound[b={b:g}]"
     n_terms = 64
@@ -600,13 +616,13 @@ def _check_remainder_bound_reference(b: float, t_grid: np.ndarray) -> CheckResul
     coeffs = all_coeffs[:n_terms - 1]
     partial = remainder_partial_sum_reference(coeffs, t_grid)
     if b <= 2.0:
-        if float(np.min(coeffs)) < -1e-300:
+        if float(np.min(coeffs)) < 0.0:
             return CheckResult(name, "fail", float(np.min(coeffs)),
                                note="expected non-negative coefficients")
         margin = 0.5 + float(np.min(partial))
         return CheckResult(name, "pass", margin, None, note="non-negative series")
 
-    tail = remainder_tail_bound(coeffs, t_grid)
+    tail = _tail_bound_reference(coeffs, t_grid)
     extended = all_coeffs[n_terms - 1:]
     ns = np.arange(n_terms + 1, 2 * n_terms + 1, dtype=float)
     normalized = np.abs(extended) * 2.0 * ns * (ns - 1.0)

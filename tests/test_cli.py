@@ -3,9 +3,15 @@ import math
 import threading
 import typing
 
-import pytest
+import argparse
+import contextlib
+import io
 
-from lpline import verification
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lpline import cli, verification
 from lpline.cli import _family_dict, main
 from lpline.exact import (
     EveryDirection, FamilyDescriptor, ParallelStrip, PencilThroughPoint, ReducedCurve)
@@ -93,6 +99,45 @@ class TestSweepPipeline:
         rows = triangle_sweep(p_min, p_max, steps, include_inf=True)
         expected = triangle_sweep_reference(p_min, p_max, steps, include_inf=True)
         assert rows == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p_min=st.one_of(st.floats(1.0, 6.0), st.sampled_from([1.0, 4.0 / 3.0, 2.0])),
+        span=st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 1.0 / 3.0, 1.0, 2.0])),
+        steps=st.integers(1, 60),
+        include_inf=st.booleans(),
+    )
+    @example(p_min=1.0, span=2.0, steps=7, include_inf=True)  # lands on 4/3 and 2
+    @example(p_min=1.0, span=2.0, steps=1, include_inf=False)
+    @example(p_min=4.0 / 3.0, span=2.0 / 3.0, steps=3, include_inf=True)
+    @example(p_min=1.0, span=0.0, steps=4, include_inf=True)
+    def test_rows_match_the_reference_on_any_grid(self, p_min, span, steps, include_inf):
+        p_max = p_min + span
+        rows = triangle_sweep(p_min, p_max, steps, include_inf=include_inf)
+        assert rows == triangle_sweep_reference(p_min, p_max, steps, include_inf=include_inf)
+
+    # ranges that pass the checks but hold a NaN or an infinite end
+    @pytest.mark.parametrize("p_min,p_max,steps", [
+        (1.2, math.nan, 1), (1.2, math.inf, 1), (math.inf, math.inf, 1), (1.0, 1e308, 5)])
+    def test_odd_ranges_give_the_reference_rows(self, p_min, p_max, steps):
+        rows = triangle_sweep(p_min, p_max, steps, include_inf=True)
+        assert rows == triangle_sweep_reference(p_min, p_max, steps, include_inf=True)
+
+    @pytest.mark.parametrize("p_min,p_max,steps,message", [
+        (0.5, 2.0, 3, "p must be >= 1"),
+        (math.nan, 2.0, 3, "p must be >= 1"),
+        (math.nan, 2.0, 1, "p must be >= 1"),
+        (math.nan, 2.0, 0, "invalid sweep range"),
+        (1.2, math.nan, 3, "p must be >= 1"),
+        (2.0, 1.5, 3, "invalid sweep range"),
+        (1.2, 2.0, 0, "invalid sweep range"),
+        (1.2, 2.0, -1, "invalid sweep range"),
+        (1.2, math.inf, 3, "p must be >= 1"),
+        (math.inf, math.inf, 2, "p must be >= 1"),
+    ])
+    def test_bad_ranges_raise(self, p_min, p_max, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            triangle_sweep(p_min, p_max, steps)
 
     def test_fmt_round_trip(self):
         for v in (1 / 3, math.pi, 1e-300, 123456.789, SQRT3 / 18):
@@ -312,3 +357,61 @@ class TestSerialMap:
                 expected.append(verification._check_remainder_bound(b, grid))
         report = verification.run_verification_suite(b_grid=bs, t_grid=ts)
         assert [c.as_dict() for c in report.checks] == [c.as_dict() for c in expected]
+
+
+class TestSharedParser:
+    """``main`` parses every call with the one parser built at import."""
+
+    @staticmethod
+    def _run(argv, out_dir):
+        """Exit code, stdout and written file bytes of ``main(argv)``."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        for path in out_dir.iterdir():
+            path.unlink()
+        return code, stdout.getvalue(), files
+
+    def test_interleaved_calls_match_calls_alone(self, tmp_path, triangle_file, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        commands = {
+            "sweep": ["sweep", "--p-min", "1.01", "--p-max", "3", "--steps", "40",
+                      "--include-inf", "--out", str(out / "s.csv")],
+            "render": ["render", "--p", "1.5", "--out", str(out / "r.svg")],
+            "render-y": ["render", "--p", "4/3", "--y", "0.1", "--out", str(out / "r.svg")],
+            "verify": ["verify", "--quick"],
+            "solve": ["solve", "--points", triangle_file, "--p", "3"],
+            "malformed": ["sweep", "--p-min", "1.01", "--steps", "x"],
+        }
+        with monkeypatch.context() as fresh:
+            alone = {}
+            for name, argv in commands.items():
+                fresh.setattr(cli, "_PARSER", cli.build_parser())
+                alone[name] = self._run(argv, out)
+        assert alone["malformed"][0] == 2
+        assert alone["verify"][0] == 0 and '"ok": true' in alone["verify"][1]
+        order = ["render-y", "malformed", "sweep", "solve", "render", "malformed",
+                 "verify", "render-y", "sweep", "render"]
+        for name in order:
+            assert self._run(commands[name], out) == alone[name], name
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["sweep", "--p-min", "1.01", "--p-max", "3", "--steps", "5",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["render", "--p", "2", "--y", "0.05", "--out", str(tmp_path / "r.svg")]) == 0
+        with pytest.raises(SystemExit):
+            main(["render", "--p"])
+        assert built == []

@@ -306,10 +306,39 @@ class TestSuite:
     )
     @example(b_grid=[1.0, 3.0], t_grid=[1.0])
     @example(b_grid=[0.1, 2.0, 4.0, 16.0], t_grid=[3e-7, 5e-5, 0.5, 1.0])
+    # 1 < b <= 2 reads its remainder margin at the smallest t^2 alone
+    @example(b_grid=[1.5, 2.0, 1.1, 0.5], t_grid=[0.3, 0.01, 0.01, 0.9, 0.01])
+    @example(b_grid=[1.2, 2.0, 2.5, 0.5], t_grid=[0.7])
+    @example(b_grid=[1.05, 2.0, 0.3, 7.5, 3.0], t_grid=[5e-5, 1e-9, 3e-6])
+    @example(b_grid=[1.3, 0.7, 4.5, 1.9], t_grid=[0.9, 2e-5, 0.4, 1.0, 0.05, 3e-8])
+    # coefficient rows of inf and nan leave no finite ratio: inconclusive
+    @example(b_grid=[1e300, 1.5], t_grid=[0.5, 0.9])
     def test_matches_the_per_b_reference(self, b_grid, t_grid):
         ts = np.array(t_grid)
-        assert (run_verification_suite(b_grid, ts).to_json()
-                == run_verification_suite_reference(b_grid, ts).to_json())
+        with np.errstate(over="ignore", invalid="ignore"):  # the powers at huge b
+            assert (run_verification_suite(b_grid, ts).to_json()
+                    == run_verification_suite_reference(b_grid, ts).to_json())
+
+    def test_negative_coefficient_below_b2_fails(self):
+        grid = verification._Grid([1.5, 2.0], default_t_grid(64))
+        assert np.all(grid.remainder[1] == 0.0) and np.all(np.signbit(grid.remainder[1]))
+        assert verification._check_remainder_bound(2.0, grid).status == "pass"  # -0.0
+        grid.remainder[0, 10] = -1e-310
+        check = verification._check_remainder_bound(1.5, grid)
+        assert (check.status, check.margin) == ("fail", -1e-310)
+
+    def test_b_up_to_two_runs_one_horner_node(self, monkeypatch):
+        nodes = []
+
+        def counting(coeffs, t2):
+            nodes.append(t2.size)
+            return _horner_t2(coeffs, t2)
+
+        monkeypatch.setattr(verification, "_horner_t2", counting)
+        assert run_verification_suite().ok
+        remainder_bs = [b for b in default_b_grid() if b > 1.0]
+        assert nodes == [1 if b <= 2.0 else 4096 for b in remainder_bs]
+        assert nodes.count(1) == 10
 
     def test_report_serializes(self):
         report = run_verification_suite(b_grid=[2.0], t_grid=default_t_grid(128))
